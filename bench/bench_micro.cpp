@@ -2,6 +2,10 @@
 // primitives, simplex solves, IP backups, simulator steps, consensus rounds.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <vector>
+
+#include "crypto/sha256_compress.hpp"
 #include "tolerance/consensus/minbft_cluster.hpp"
 #include "tolerance/crypto/hmac.hpp"
 #include "tolerance/crypto/sha256.hpp"
@@ -38,14 +42,36 @@ void BM_BeliefUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BeliefUpdate);
 
-void BM_Sha256_1KiB(benchmark::State& state) {
-  const std::string data(1024, 'x');
+// SHA-256 compression of 1 KiB (16 blocks) on each path: `portable` is the
+// plain C++ reference, `hardware` the x86 SHA extensions that crypto::Sha256
+// selects when the CPU has them (skipped when it does not).
+crypto::detail::CompressFn sha_extensions_or_null() {
+#if defined(__x86_64__)
+  if (crypto::detail::cpu_has_sha_extensions()) {
+    return crypto::detail::compress_sha_extensions;
+  }
+#endif
+  return nullptr;
+}
+
+void BM_Sha256_1KiB(benchmark::State& state,
+                    crypto::detail::CompressFn compress) {
+  if (compress == nullptr) {
+    state.SkipWithError("CPU lacks the SHA extensions, SSSE3 or SSE4.1");
+    return;
+  }
+  const std::vector<std::uint8_t> data(1024, 'x');
+  std::uint32_t chain[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::hash(data));
+    compress(chain, data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(chain);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
-BENCHMARK(BM_Sha256_1KiB);
+BENCHMARK_CAPTURE(BM_Sha256_1KiB, portable, crypto::detail::compress_portable);
+BENCHMARK_CAPTURE(BM_Sha256_1KiB, hardware, sha_extensions_or_null());
 
 void BM_HmacSign(benchmark::State& state) {
   for (auto _ : state) {
@@ -53,6 +79,26 @@ void BM_HmacSign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSign);
+
+// The wall-clock lane's per-frame MAC: HMAC-SHA256 over one encoded MinBFT
+// bundle, 80-200 bytes.  The `crypto.hmac_us_per_kib` counter is the figure
+// perfbench's traced service runs report under the same name (steady-clock
+// time per KiB MACed), so the two line up.
+void BM_HmacBundle(benchmark::State& state) {
+  const std::string key = "link-key";
+  const std::string frame(static_cast<std::size_t>(state.range(0)), '\x5a');
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::hmac_sha256(key, frame));
+  }
+  const double us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  const double kib = static_cast<double>(state.iterations()) *
+                     static_cast<double>(frame.size()) / 1024.0;
+  state.counters["crypto.hmac_us_per_kib"] = us / kib;
+}
+BENCHMARK(BM_HmacBundle)->Arg(80)->Arg(128)->Arg(200);
 
 void BM_UsigCreateVerify(benchmark::State& state) {
   auto registry = std::make_shared<crypto::KeyRegistry>();

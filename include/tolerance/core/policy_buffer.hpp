@@ -6,11 +6,14 @@
 // path runs every control cycle and must not take a lock a slow solver could
 // be holding.  PolicyBuffer keeps two table slots; a single writer fills the
 // inactive slot, waits for stragglers to drain off it, and flips the active
-// index with one release store (the "atomic epoch flip").  Readers are
-// wait-free with respect to the writer: they pin a slot with a per-slot
-// reader count, re-check the active index, and copy — the writer never
-// mutates a slot a reader holds pinned, so every snapshot is internally
-// consistent and epochs observed by any reader are monotone.
+// index with one sequentially consistent store (the "atomic epoch flip").
+// Readers are wait-free with respect to the writer: they pin a slot with a
+// per-slot reader count, re-check the active index, and copy — the writer
+// never mutates a slot a reader holds pinned, so every snapshot is
+// internally consistent and epochs observed by any reader are monotone.
+// The flip and the straggler check on the writer side, and the pin and the
+// re-check on the reader side, form a Dekker handshake, which is why those
+// four operations are seq_cst rather than release/acquire.
 //
 // Single-writer by contract (the async controller serializes publishes
 // through one completion path); any number of concurrent readers.

@@ -36,9 +36,8 @@ void DigestMemo::note_saved() {
 }  // namespace detail
 
 std::string Request::payload() const {
-  std::ostringstream os;
-  os << "req|" << client << '|' << request_id << '|' << operation;
-  return os.str();
+  return "req|" + std::to_string(client) + '|' + std::to_string(request_id) +
+         '|' + operation;
 }
 
 crypto::Digest Request::digest() const {
@@ -51,9 +50,8 @@ crypto::Digest Request::digest() const {
   return memo_.get([this] {
     crypto::Sha256 h;
     h.update(payload());
-    std::ostringstream os;
-    os << "|sig|" << signature.signer << '|' << hex(signature.tag);
-    h.update(os.str());
+    h.update("|sig|" + std::to_string(signature.signer) + '|' +
+             hex(signature.tag));
     return h.finalize();
   });
 }
@@ -72,36 +70,34 @@ crypto::Digest Prepare::batch_digest() const {
 
 crypto::Digest Prepare::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "prepare|" << view << '|' << seq << '|' << requests.size() << '|'
-       << hex(batch_digest());
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash("prepare|" + std::to_string(view) + '|' +
+                                std::to_string(seq) + '|' +
+                                std::to_string(requests.size()) + '|' +
+                                hex(batch_digest()));
   });
 }
 
 crypto::Digest Commit::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "commit|" << view << '|' << seq << '|' << replica << '|'
-       << hex(batch_digest) << '|' << leader_ui.replica << ':'
-       << leader_ui.counter;
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash(
+        "commit|" + std::to_string(view) + '|' + std::to_string(seq) + '|' +
+        std::to_string(replica) + '|' + hex(batch_digest) + '|' +
+        std::to_string(leader_ui.replica) + ':' +
+        std::to_string(leader_ui.counter));
   });
 }
 
 std::string Reply::payload() const {
-  std::ostringstream os;
-  os << "reply|" << replica << '|' << client << '|' << request_id << '|'
-     << result << '|' << (speculative ? "spec" : "final");
-  return os.str();
+  return "reply|" + std::to_string(replica) + '|' + std::to_string(client) +
+         '|' + std::to_string(request_id) + '|' + result + '|' +
+         (speculative ? "spec" : "final");
 }
 
 crypto::Digest Checkpoint::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "checkpoint|" << replica << '|' << last_executed << '|'
-       << hex(state_digest);
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash("checkpoint|" + std::to_string(replica) +
+                                '|' + std::to_string(last_executed) + '|' +
+                                hex(state_digest));
   });
 }
 

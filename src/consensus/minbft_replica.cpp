@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
+#include <string>
 
 #include "tolerance/util/ensure.hpp"
 
@@ -41,9 +41,7 @@ std::string ReplicatedService::execute(const std::string& operation) {
   h.update(operation);
   digest_ = h.finalize();
   // Result of the paper's web service: reads return state size, writes ack.
-  std::ostringstream os;
-  os << "ok:" << log_.size();
-  return os.str();
+  return "ok:" + std::to_string(log_.size());
 }
 
 void ReplicatedService::install(std::vector<std::string> log,

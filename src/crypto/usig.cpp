@@ -1,6 +1,6 @@
 #include "tolerance/crypto/usig.hpp"
 
-#include <sstream>
+#include <string>
 
 namespace tolerance::crypto {
 
@@ -8,10 +8,8 @@ std::string Usig::certificate_payload(PrincipalId replica,
                                       std::uint64_t epoch,
                                       std::uint64_t counter,
                                       const Digest& digest) {
-  std::ostringstream os;
-  os << "usig|" << replica << '|' << epoch << '|' << counter << '|'
-     << to_hex(digest);
-  return os.str();
+  return "usig|" + std::to_string(replica) + '|' + std::to_string(epoch) +
+         '|' + std::to_string(counter) + '|' + to_hex(digest);
 }
 
 UniqueIdentifier Usig::create(const Digest& message_digest) {

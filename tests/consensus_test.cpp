@@ -862,6 +862,87 @@ TEST(MinBftBatching, BodyDigestsAreMemoizedAndInvalidatable) {
 }
 
 // ---------------------------------------------------------------------------
+// Signed bytes: the exact strings that client signatures, reply signatures,
+// USIG certificates and body digests cover.  Any change here breaks every
+// signature and digest a replica of another build would check, so these
+// bytes are pinned rather than round-tripped.  Field values cross 32 bits
+// where the type allows, so the decimal formatting is pinned too.
+// ---------------------------------------------------------------------------
+
+Request pinned_request(std::uint64_t request_id, std::string operation) {
+  Request r;
+  r.client = 10007;
+  r.request_id = request_id;
+  r.operation = std::move(operation);
+  r.signature.signer = 10007;
+  r.signature.tag = crypto::Sha256::hash("client-tag");
+  return r;
+}
+
+TEST(MinBftSignedBytes, PayloadsAndBodyDigestsArePinned) {
+  const Request r1 = pinned_request(12345678901234ULL, "write:key=v|1");
+  const Request r2 = pinned_request(0, "");
+  EXPECT_EQ(r1.payload(), "req|10007|12345678901234|write:key=v|1");
+  EXPECT_EQ(r2.payload(), "req|10007|0|");
+  EXPECT_EQ(crypto::to_hex(r1.digest()),
+            "b0fdca7020c308ded12b8df0e5f114d43ca1089452bca664d46ec28525d746a4");
+
+  Reply reply;
+  reply.replica = 4;
+  reply.client = 10007;
+  reply.request_id = 12345678901234ULL;
+  reply.result = "ok:4294967296";
+  reply.speculative = true;
+  EXPECT_EQ(reply.payload(), "reply|4|10007|12345678901234|ok:4294967296|spec");
+  reply.speculative = false;
+  EXPECT_EQ(reply.payload(),
+            "reply|4|10007|12345678901234|ok:4294967296|final");
+
+  Prepare prepare;
+  prepare.view = 3;
+  prepare.seq = 4294967301ULL;
+  prepare.requests = {r1, r2};
+  EXPECT_EQ(crypto::to_hex(prepare.body_digest()),
+            "98b47d32be2b835c0b4b2fceb8c280e78c85303cd235f62c092ae580c42c483e");
+
+  Commit commit;
+  commit.view = 3;
+  commit.seq = 4294967301ULL;
+  commit.replica = 6;
+  commit.batch_digest = prepare.batch_digest();
+  commit.leader_ui.replica = 3;
+  commit.leader_ui.counter = 4294967301ULL;
+  EXPECT_EQ(crypto::to_hex(commit.body_digest()),
+            "433e43d5c4c9bec2481f71aa68789db37c02ed4c3c66c866c5cfc4894afdb302");
+
+  Checkpoint checkpoint;
+  checkpoint.replica = 5;
+  checkpoint.last_executed = 9876543210ULL;
+  checkpoint.state_digest = crypto::Sha256::hash("state");
+  EXPECT_EQ(crypto::to_hex(checkpoint.body_digest()),
+            "631230b49fbdf490c38cf66dc20cf2dadfd56eb66e9b00999454ab24b8feb0d3");
+
+  ReplicatedService service;
+  EXPECT_EQ(service.execute("write:a"), "ok:1");
+  EXPECT_EQ(service.execute("write:b"), "ok:2");
+  EXPECT_EQ(crypto::to_hex(service.state_digest()),
+            "a8304bd1b51f80bd6bcf7f3bc26c5e38b55bb4f3abf606920b7b997844ff6f34");
+}
+
+TEST(MinBftSignedBytes, UsigCertificateIsPinned) {
+  crypto::KeyRegistry registry;
+  const std::string secret =
+      registry.register_principal(3 + crypto::kUsigPrincipalOffset, 77);
+  crypto::Usig usig(3, secret, /*epoch=*/4294967297ULL);
+  (void)usig.create(crypto::Sha256::hash("first"));
+  const crypto::UniqueIdentifier ui = usig.create(crypto::Sha256::hash("op"));
+  EXPECT_EQ(ui.counter, 2u);
+  EXPECT_EQ(crypto::to_hex(ui.certificate),
+            "97dac878f73fa29bd3bd74bff81696700a8af6840b3b4498805fed194901f049");
+  EXPECT_TRUE(crypto::Usig::verify(registry, crypto::Sha256::hash("op"), ui));
+}
+
+// ---------------------------------------------------------------------------
 // MinBFT: speculative execution (the wall-clock fast path, sim-lane checked)
 // ---------------------------------------------------------------------------
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "crypto/sha256_compress.hpp"
 #include "tolerance/crypto/hmac.hpp"
 #include "tolerance/crypto/keys.hpp"
 #include "tolerance/crypto/sha256.hpp"
@@ -20,12 +26,133 @@ TEST(Sha256, KnownVectors) {
 }
 
 TEST(Sha256, LongInputCrossesBlockBoundaries) {
-  // One million 'a' characters (standard vector).
+  // One million 'a' characters (FIPS 180-4 vector), streamed in chunks that
+  // straddle block boundaries and hashed in one call.
+  constexpr const char* kMillionA =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
   Sha256 h;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(to_hex(h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(to_hex(h.finalize()), kMillionA);
+  EXPECT_EQ(to_hex(Sha256::hash(std::string(1000000, 'a'))), kMillionA);
+}
+
+TEST(Sha256, PaddingBoundaryLengths) {
+  // 55 bytes is the longest message whose padding fits one block, 56 the
+  // shortest that spills into a second; 63/64 and 119/120 straddle the next
+  // block edges.  Expected digests come from an independent implementation.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [length, hex] : cases) {
+    EXPECT_EQ(to_hex(Sha256::hash(std::string(length, 'a'))), hex)
+        << length << " bytes";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compression paths: the portable function is the reference; the SHA
+// extensions path must match it bit for bit.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kMaxDifferentialLength = 1100;
+
+// SHA-256 of `message` driven by one compression function: FIPS 180-4
+// padding built in a buffer, then every block compressed in a single call.
+Digest digest_with(detail::CompressFn compress,
+                   const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> padded(message);
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = message.size() * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  compress(state, padded.data(), padded.size() / 64);
+  Digest out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> random_bytes(std::mt19937_64& rng,
+                                       std::size_t length) {
+  std::vector<std::uint8_t> bytes(length);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(Sha256Differential, PortableReferenceMatchesKnownVectors) {
+  const auto bytes = [](std::string_view s) {
+    return std::vector<std::uint8_t>(s.begin(), s.end());
+  };
+  EXPECT_EQ(to_hex(digest_with(detail::compress_portable, bytes(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(digest_with(detail::compress_portable, bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Differential, RandomUpdateSplitsMatchThePortableReference) {
+  // The public API runs whichever compression this CPU selected, behind the
+  // block buffering of update() and the padding of finalize().
+  std::mt19937_64 rng(0x5a256);
+  for (std::size_t length = 0; length <= kMaxDifferentialLength; ++length) {
+    const auto message = random_bytes(rng, length);
+    Sha256 h;
+    std::size_t pos = 0;
+    while (pos < length) {
+      // Pieces of 0..199 bytes: empty updates, partial blocks, and runs of
+      // whole blocks compressed straight from the input.
+      const std::size_t take =
+          std::min<std::size_t>(length - pos, rng() % 200);
+      h.update(message.data() + pos, take);
+      pos += take;
+    }
+    ASSERT_EQ(to_hex(h.finalize()),
+              to_hex(digest_with(detail::compress_portable, message)))
+        << length << " bytes";
+  }
+}
+
+TEST(Sha256Differential, ShaExtensionsMatchPortableCompression) {
+#if defined(__x86_64__)
+  if (!detail::cpu_has_sha_extensions()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions (CPUID leaf 7 EBX bit 29), "
+                    "SSSE3 or SSE4.1";
+  }
+  std::mt19937_64 rng(0x5a257);
+  for (std::size_t length = 0; length <= kMaxDifferentialLength; ++length) {
+    const auto message = random_bytes(rng, length);
+    ASSERT_EQ(to_hex(digest_with(detail::compress_sha_extensions, message)),
+              to_hex(digest_with(detail::compress_portable, message)))
+        << length << " bytes";
+  }
+  // Arbitrary chaining states, and runs of blocks in one call against the
+  // same blocks one call at a time.
+  for (std::size_t blocks = 1; blocks <= 20; ++blocks) {
+    const auto data = random_bytes(rng, 64 * blocks);
+    std::uint32_t hw[8];
+    for (auto& word : hw) word = static_cast<std::uint32_t>(rng());
+    std::uint32_t sw[8];
+    std::copy(std::begin(hw), std::end(hw), std::begin(sw));
+    detail::compress_sha_extensions(hw, data.data(), blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      detail::compress_portable(sw, data.data() + 64 * b, 1);
+    }
+    ASSERT_TRUE(std::equal(std::begin(hw), std::end(hw), std::begin(sw)))
+        << blocks << " blocks";
+  }
+#else
+  GTEST_SKIP() << "the SHA extensions are an x86-64 CPU feature";
+#endif
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
