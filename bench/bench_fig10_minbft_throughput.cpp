@@ -33,7 +33,7 @@
 #include "bench_common.hpp"
 #include "tolerance/consensus/minbft_cluster.hpp"
 #include "tolerance/consensus/minbft_runtime.hpp"
-#include "tolerance/consensus/minbft_workload.hpp"
+#include "tolerance/oracles/minbft_workload.hpp"
 #include "tolerance/emulation/scenario_runner.hpp"
 #include "tolerance/emulation/scenarios.hpp"
 #include "tolerance/net/profiles.hpp"
@@ -251,23 +251,23 @@ bool check_sim_equivalence(const std::vector<int>& sweep_n) {
     auto flush_cfg = base_cfg;
     flush_cfg.mac_flush_window = kRuntimeFlushWindow;
     const auto run_base =
-        consensus::run_tagged_workload(base_cfg, n, gate_clients, gate_ops, 42);
+        oracles::run_tagged_workload(base_cfg, n, gate_clients, gate_ops, 42);
     const auto run_spec =
-        consensus::run_tagged_workload(spec_cfg, n, gate_clients, gate_ops, 42);
-    const auto run_flush = consensus::run_tagged_workload(flush_cfg, n,
-                                                          gate_clients,
-                                                          gate_ops, 42);
+        oracles::run_tagged_workload(spec_cfg, n, gate_clients, gate_ops, 42);
+    const auto run_flush = oracles::run_tagged_workload(flush_cfg, n,
+                                                        gate_clients,
+                                                        gate_ops, 42);
     std::string err = !run_base.error.empty()   ? run_base.error
                       : !run_spec.error.empty() ? run_spec.error
                                                 : run_flush.error;
     if (err.empty() &&
-        !consensus::logs_equivalent(run_base.log, run_spec.log, gate_clients,
-                                    &err)) {
+        !oracles::logs_equivalent(run_base.log, run_spec.log, gate_clients,
+                                  &err)) {
       err = "speculative log diverged: " + err;
     }
     if (err.empty() &&
-        !consensus::logs_equivalent(run_base.log, run_flush.log, gate_clients,
-                                    &err)) {
+        !oracles::logs_equivalent(run_base.log, run_flush.log, gate_clients,
+                                  &err)) {
       err = "mac-batched log diverged: " + err;
     }
     if (!err.empty()) {
@@ -703,17 +703,17 @@ int main(int argc, char** argv) {
     row.batched = measure_throughput(batched_cfg, n, sweep_clients,
                                      sweep_duration, paper_link());
     // The workload driver and equivalence definition are shared with the
-    // MinBftBatching unit tests (minbft_workload.hpp).
-    const auto run_u = consensus::run_tagged_workload(unbatched_cfg, n,
-                                                      gate_clients, gate_ops,
-                                                      42);
-    const auto run_b = consensus::run_tagged_workload(batched_cfg, n,
-                                                      gate_clients, gate_ops,
-                                                      42);
+    // MinBftBatching unit tests (tolerance/oracles/minbft_workload.hpp).
+    const auto run_u = oracles::run_tagged_workload(unbatched_cfg, n,
+                                                    gate_clients, gate_ops,
+                                                    42);
+    const auto run_b = oracles::run_tagged_workload(batched_cfg, n,
+                                                    gate_clients, gate_ops,
+                                                    42);
     std::string err = !run_u.error.empty() ? run_u.error : run_b.error;
     row.logs_match = err.empty() &&
-                     consensus::logs_equivalent(run_u.log, run_b.log,
-                                                gate_clients, &err);
+                     oracles::logs_equivalent(run_u.log, run_b.log,
+                                              gate_clients, &err);
     if (!row.logs_match) {
       logs_ok = false;
       std::cout << "log equivalence FAILED at n=" << n << ": " << err << '\n';

@@ -1,16 +1,15 @@
 // Solver-performance bench: the two solver hot paths of the paper pipeline,
-// measured against their pre-overhaul baselines and written to
-// BENCH_solvers.json (CI uploads it next to BENCH_parallel.json /
+// measured against the reference implementations in tolerance_oracles and
+// written to BENCH_solvers.json (CI uploads it next to BENCH_parallel.json /
 // BENCH_scenarios.json so the perf trajectory has solver datapoints).
 //
 //  * Fig. 9 column — the occupancy-measure LP of Algorithm 2 at the largest
-//    smax: the legacy dense two-phase tableau solved from scratch versus the
+//    smax: the dense two-phase tableau solved from scratch versus the
 //    sparse revised simplex, cold (policy crash basis) and warm (re-solve
 //    from the previous optimal basis, the ScenarioRunner / epsilon_A-sweep /
 //    baseline Monte-Carlo workload).
 //  * Fig. 8 IP column — IncrementalPruning::solve_cycle at DeltaR = 25:
-//    the pre-overhaul enumerate-and-prune backup versus the breakpoint-merge
-//    backup.
+//    the enumerate-and-prune backup versus the breakpoint-merge backup.
 //
 // Exits non-zero if the optimized paths disagree with the baselines
 // (objectives beyond 1e-6 relative, envelopes beyond 1e-9).
@@ -23,6 +22,8 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "tolerance/oracles/dense_simplex.hpp"
+#include "tolerance/oracles/ip_reference.hpp"
 #include "tolerance/solvers/cmdp_lp.hpp"
 #include "tolerance/solvers/incremental_pruning.hpp"
 #include "tolerance/util/stopwatch.hpp"
@@ -41,20 +42,10 @@ int main(int argc, char** argv) {
   const int smax = bench::scaled(512, 2048);
   const auto cmdp = pomdp::SystemCmdp::parametric(smax, 3, 0.9, 0.95, 0.3,
                                                   1e-4);
-  lp::SimplexSolver::Options dense_options;
-  dense_options.dense_fallback = true;
 
   Stopwatch clock;
-  const auto dense = solvers::solve_replication_lp(cmdp, dense_options);
+  const auto dense = oracles::dense_simplex(solvers::replication_lp(cmdp));
   const double t_dense = clock.elapsed_seconds();
-
-  // Pre-Markowitz reinversion (static ascending-nnz Gauss-Jordan order):
-  // the before/after datapoint for the fill-reduction lever.
-  lp::SimplexSolver::Options static_order;
-  static_order.markowitz_reinversion = false;
-  clock.reset();
-  const auto cold_static = solvers::solve_replication_lp(cmdp, static_order);
-  const double t_cold_static = clock.elapsed_seconds();
 
   clock.reset();
   const auto cold = solvers::solve_replication_lp(cmdp);
@@ -78,20 +69,16 @@ int main(int argc, char** argv) {
 
   const bool lp_ok =
       dense.status == lp::LpStatus::Optimal &&
-      cold_static.status == lp::LpStatus::Optimal &&
       cold.status == lp::LpStatus::Optimal &&
       warm.status == lp::LpStatus::Optimal &&
       drift_sol.status == lp::LpStatus::Optimal &&
       drift_cold.status == lp::LpStatus::Optimal &&
-      std::fabs(cold.average_cost - dense.average_cost) <=
-          1e-6 * (1.0 + dense.average_cost) &&
-      std::fabs(cold_static.average_cost - dense.average_cost) <=
-          1e-6 * (1.0 + dense.average_cost) &&
-      std::fabs(warm.average_cost - dense.average_cost) <=
-          1e-6 * (1.0 + dense.average_cost) &&
+      std::fabs(cold.average_cost - dense.objective) <=
+          1e-6 * (1.0 + dense.objective) &&
+      std::fabs(warm.average_cost - dense.objective) <=
+          1e-6 * (1.0 + dense.objective) &&
       std::fabs(drift_sol.average_cost - drift_cold.average_cost) <=
           1e-6 * (1.0 + drift_cold.average_cost);
-  const double lp_cold_static_speedup = t_dense / std::max(t_cold_static, 1e-9);
   const double lp_cold_speedup = t_dense / std::max(t_cold, 1e-9);
   const double lp_warm_speedup = t_dense / std::max(t_warm, 1e-9);
 
@@ -99,15 +86,9 @@ int main(int argc, char** argv) {
                          "E[s]", "speedup vs dense/scratch"});
   lp_table.add_row({std::to_string(smax), "dense scratch",
                     ConsoleTable::num(t_dense, 3),
-                    std::to_string(dense.lp_iterations), "-",
-                    ConsoleTable::num(dense.average_cost, 2), "1.00"});
-  lp_table.add_row({"", "cold, static order",
-                    ConsoleTable::num(t_cold_static, 3),
-                    std::to_string(cold_static.lp_iterations),
-                    std::to_string(cold_static.lp_eta_nnz),
-                    ConsoleTable::num(cold_static.average_cost, 2),
-                    ConsoleTable::num(lp_cold_static_speedup, 2)});
-  lp_table.add_row({"", "cold, Markowitz LU", ConsoleTable::num(t_cold, 3),
+                    std::to_string(dense.iterations), "-",
+                    ConsoleTable::num(dense.objective, 2), "1.00"});
+  lp_table.add_row({"", "revised cold", ConsoleTable::num(t_cold, 3),
                     std::to_string(cold.lp_iterations),
                     std::to_string(cold.lp_eta_nnz),
                     ConsoleTable::num(cold.average_cost, 2),
@@ -124,11 +105,8 @@ int main(int argc, char** argv) {
   const pomdp::NodeModel model(bench::paper_node_params(0.1));
   const auto obs = bench::paper_observation_model();
 
-  solvers::IpOptions reference;
-  reference.reference_backup = true;
   clock.reset();
-  const auto ip_ref =
-      solvers::IncrementalPruning::solve_cycle(model, obs, delta_r, reference);
+  const auto ip_ref = oracles::solve_cycle_reference(model, obs, delta_r);
   const double t_ip_ref = clock.elapsed_seconds();
 
   clock.reset();
@@ -167,17 +145,12 @@ int main(int argc, char** argv) {
       << "  \"fig9_lp\": {\n"
       << "    \"smax\": " << smax << ",\n"
       << "    \"seconds_dense_scratch\": " << t_dense << ",\n"
-      << "    \"pivots_dense\": " << dense.lp_iterations << ",\n"
-      << "    \"seconds_revised_cold_static_order\": " << t_cold_static
-      << ",\n"
-      << "    \"eta_nnz_static_order\": " << cold_static.lp_eta_nnz << ",\n"
+      << "    \"pivots_dense\": " << dense.iterations << ",\n"
       << "    \"seconds_revised_cold\": " << t_cold << ",\n"
       << "    \"eta_nnz_markowitz\": " << cold.lp_eta_nnz << ",\n"
       << "    \"pivots_revised_cold\": " << cold.lp_iterations << ",\n"
       << "    \"seconds_revised_warm\": " << t_warm << ",\n"
       << "    \"seconds_warm_kernel_drift\": " << t_warm_drift << ",\n"
-      << "    \"cold_speedup_static_order\": " << lp_cold_static_speedup
-      << ",\n"
       << "    \"cold_speedup\": " << lp_cold_speedup << ",\n"
       << "    \"warm_speedup\": " << lp_warm_speedup << ",\n"
       << "    \"optima_match\": " << (lp_ok ? "true" : "false") << "\n"

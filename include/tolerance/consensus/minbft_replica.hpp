@@ -82,9 +82,9 @@ struct MinBftConfig {
   double cpu_cost_per_send = 0.0;
   /// Per-REPLY authentication cost.  Replies are per-client point-to-point,
   /// so real deployments authenticate them with session MACs instead of
-  /// signatures (the PBFT-lineage optimization); < 0 falls back to
-  /// crypto_cost_sign, the pre-batching behaviour.
-  double crypto_cost_reply = -1.0;
+  /// signatures (the PBFT-lineage optimization); the default prices them
+  /// as a signature, the pre-batching behaviour.
+  double crypto_cost_reply = crypto::KeyRegistry::kSignCost;
   /// Max requests bound to one USIG counter value (1 = unbatched protocol).
   int batch_size = 16;
   /// Max sealed-but-unexecuted batches the leader keeps in flight.  An
@@ -96,8 +96,6 @@ struct MinBftConfig {
   /// pipeline window is full (at most one over-the-window batch per timeout
   /// period) — bounds pending-request latency when execution stalls.
   double batch_timeout = 0.05;
-  /// Entries kept by the per-replica USIG verification cache.
-  std::size_t usig_cache_capacity = 4096;
   /// Speculative execution (the Zyzzyva-style fast path): execute a batch
   /// tentatively as soon as its PREPARE verifies — before the commit quorum
   /// — and reply with the speculative flag set.  Clients act on a
@@ -114,12 +112,6 @@ struct MinBftConfig {
   /// speculative quorum was spoiled by one lost reply recovers in a round
   /// trip instead of a full request_retry_timeout.  0 disables the valve.
   double spec_fallback_timeout = 0.0;
-  /// Grace period before fetching a PREPARE that a commit quorum refers to
-  /// but never arrived here.  Commit-before-prepare is usually plain
-  /// reordering (the prepare is buffered in a flush window or a slower
-  /// bundle) and resolves by itself; only when the prepare is still missing
-  /// after this long was it dropped, and a relay is worth the traffic.
-  double prepare_fetch_grace = 0.02;
   /// Sim-lane model of the wall-clock lane's outbound authenticator
   /// batching: when > 0, cpu_cost_per_send is charged per destination at
   /// most once per this many (simulated) seconds — one MAC covers every
@@ -435,10 +427,6 @@ class MinBftReplica {
   void maybe_arm_commit_repair();
   void on_commit_repair();
   void broadcast(const MinBftMsg& msg);
-  double reply_cost() const {
-    return config_.crypto_cost_reply < 0.0 ? config_.crypto_cost_sign
-                                           : config_.crypto_cost_reply;
-  }
 
   bool verify_request(const Request& req);
   /// USIG verification through the per-replica verdict cache; only a miss

@@ -1,25 +1,18 @@
-// Linear-program solvers for the occupancy-measure LP of Algorithm 2.
+// Linear-program solver for the occupancy-measure LP of Algorithm 2: a
+// sparse revised simplex.  Constraint columns are stored sparsely (CSC), the
+// basis inverse is kept as a Markowitz-ordered LU factorization plus an
+// eta file of product-form updates, recomputed every few dozen pivots, and
+// entering columns are priced with a rotating partial-pricing window so an
+// iteration never touches the whole constraint matrix.  The solver accepts
+// a caller supplied starting basis (warm start): a basis that is still
+// primal feasible skips phase 1 entirely, and a basis that lost primal
+// feasibility to a right-hand-side change (an epsilon_A sweep, a
+// re-estimated kernel) but kept dual feasibility is repaired with a few
+// dual-simplex pivots instead of a from-scratch solve.
 //
-// Two interchangeable cores sit behind SimplexSolver:
-//
-//  * A sparse revised simplex (the default): constraint columns are stored
-//    sparsely (CSC), the basis inverse is maintained as an eta-file
-//    (product-form) factorization that is periodically recomputed by a
-//    partial-pivoted Gauss-Jordan reinversion, and entering columns are
-//    priced with a rotating partial-pricing window so an iteration never
-//    touches the whole constraint matrix.  The solver accepts a caller
-//    supplied starting basis (warm start): a basis that is still primal
-//    feasible skips phase 1 entirely, and a basis that lost primal
-//    feasibility to a right-hand-side change (an epsilon_A sweep, a
-//    re-estimated kernel) but kept dual feasibility is repaired with a few
-//    dual-simplex pivots instead of a from-scratch solve.
-//
-//  * The original dense two-phase tableau (Options::dense_fallback), kept
-//    for differential testing and as a belt-and-braces fallback.
-//
-// Both cores are exact (up to floating point) and use Dantzig pricing with
-// an automatic switch to Bland's rule when degeneracy stalls progress, which
-// guarantees termination.
+// The solver is exact (up to floating point) and uses Dantzig pricing with
+// an automatic switch to Bland's rule when degeneracy stalls progress,
+// which guarantees termination.
 #pragma once
 
 #include <vector>
@@ -47,7 +40,7 @@ enum class WarmStart {
 /// num_vars + i is the auxiliary column of constraint i (slack for LessEq,
 /// surplus for GreaterEq, artificial for Eq); num_vars + m + i is the
 /// phase-1 artificial of GreaterEq constraint i.  Relations are the ones
-/// after rhs-sign normalization, which both solver cores apply identically.
+/// after rhs-sign normalization (a row with a negative rhs is negated).
 struct SimplexBasis {
   std::vector<int> basic;  ///< basic column per constraint row
   bool empty() const { return basic.empty(); }
@@ -62,41 +55,17 @@ struct LpSolution {
   /// solve() to warm start a related LP.
   SimplexBasis basis;
   WarmStart warm_start = WarmStart::None;
-  /// Nonzeros in the final eta-file reinversion (revised core only; 0 for
-  /// the dense fallback) — the fill metric the Markowitz ordering targets.
+  /// Nonzeros in the final basis factorization (LU steps plus update etas)
+  /// — the fill metric the Markowitz ordering targets.
   std::size_t eta_nnz = 0;
 };
 
 class SimplexSolver {
  public:
   struct Options {
-    long max_iterations = 200000;
-    double eps = 1e-9;  ///< pivot / feasibility tolerance
     /// Consecutive degenerate pivots before switching from Dantzig pricing
     /// to Bland's anti-cycling rule.
     long bland_stall_threshold = 2000;
-    /// Route to the legacy dense two-phase tableau (for differential
-    /// testing).  The dense core ignores warm-start bases but still exports
-    /// the optimal basis in the shape-stable encoding.
-    bool dense_fallback = false;
-    /// Partial-pricing window: number of eligible columns scanned per
-    /// iteration before the best candidate is taken (revised core only).
-    int price_window = 192;
-    /// Revised core: pivots between eta-file reinversions.
-    int refactor_interval = 96;
-    /// Max dual-simplex pivots spent repairing a warm basis before falling
-    /// back to a cold solve.
-    int dual_repair_limit = 400;
-    /// Markowitz-style pivot ordering in the eta-file reinversion: columns
-    /// are eliminated by ascending *remaining* nonzero count and the pivot
-    /// row is the least-occupied numerically acceptable one, which keeps the
-    /// factorization close to a permuted triangle and cuts eta fill (the
-    /// cold large-smax lever).  false restores the static ascending-nnz
-    /// order with pure partial pivoting.
-    bool markowitz_reinversion = true;
-    /// Threshold pivoting for the Markowitz order: rows within this factor
-    /// of the largest transformed entry are acceptable pivots.
-    double markowitz_threshold = 0.01;
   };
 
   SimplexSolver() : options_() {}
@@ -107,13 +76,7 @@ class SimplexSolver {
   /// unusable basis degrades gracefully to a cold solve.
   LpSolution solve(const LinearProgram& lp, const SimplexBasis& warm) const;
 
-  const Options& options() const { return options_; }
-
  private:
-  LpSolution solve_dense(const LinearProgram& lp) const;
-  LpSolution solve_revised(const LinearProgram& lp,
-                           const SimplexBasis* warm) const;
-
   Options options_;
 };
 

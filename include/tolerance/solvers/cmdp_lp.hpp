@@ -68,6 +68,12 @@ struct CmdpSolution {
   bool valid_policy() const;
 };
 
+/// The occupancy-measure LP (14) of `cmdp` that solve_replication_lp
+/// solves: variables rho(s, a) at index 2*s + a plus one floor aggregate at
+/// index 2*num_states (see cmdp_lp.cpp), so other LP solvers can be checked
+/// against the same program.
+lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp);
+
 /// Solve Prob. 2 exactly (Algorithm 2).
 ///
 /// `warm` (optional) seeds the simplex with a basis from a previous solve of

@@ -10,8 +10,8 @@
 // pruned sets is computed directly by merging their hull breakpoints —
 // min over independent choices distributes over the pointwise sum, so
 // env(A (+) B) = env(A) + env(B) — instead of enumerating |A|*|B| sums and
-// re-pruning (the backup hot path; see IpOptions::reference_backup for the
-// pre-merge implementation kept for differential benchmarks).  Crashes are
+// re-pruning.  Inside the backups a set whose envelope has more than 64
+// segments is capped by prune()'s bounded-error grid pruning.  Crashes are
 // handled through the full 3-state kernel (2): a crashed node yields no
 // future cost (it is evicted and replaced — its value is 0).
 //
@@ -50,33 +50,6 @@ pomdp::NodeAction envelope_action(const std::vector<AlphaVector>& alphas,
 std::vector<AlphaVector> prune(std::vector<AlphaVector> alphas,
                                double eps = 1e-12, int max_alpha = 64);
 
-/// LP-domination pruning (Lark's algorithm): keep an alpha vector iff a
-/// linear program run against all the others finds a belief where it is
-/// strictly below their envelope.  Exact like the hull sweep in prune() —
-/// this is the classic formulation, wired to the sparse revised simplex and
-/// kept as a cross-check mode (IpOptions::lp_prune_crosscheck and the
-/// solver test suite assert it agrees with the sweep).  O(n) LP solves; not
-/// a hot path.  No bounded-error cap is applied.
-std::vector<AlphaVector> prune_lp(std::vector<AlphaVector> alphas,
-                                  double eps = 1e-9);
-
-/// Tuning knobs of the IP solver; the defaults reproduce the paper runs.
-struct IpOptions {
-  /// Bounded-error cap on every pruned set (was a hard-coded constant).
-  int max_alpha = 64;
-  /// Worker threads for the per-action backups (<= 0: TOLERANCE_THREADS or
-  /// hardware concurrency — see util::resolve_threads).  Results are
-  /// bit-identical at any thread count: per-action sets are merged in
-  /// action order.
-  int threads = 1;
-  /// Use the pre-merge cross-sum backup (enumerate + prune): the dense
-  /// reference path for regression tests and the Fig. 8 speedup bench.
-  bool reference_backup = false;
-  /// Prune with prune_lp() instead of the hull sweep inside the backups
-  /// (implies the reference enumeration path; slow — cross-check only).
-  bool lp_prune_crosscheck = false;
-};
-
 class IncrementalPruning {
  public:
   struct Result {
@@ -93,26 +66,14 @@ class IncrementalPruning {
   /// Solve the DeltaR-cycle problem (16): horizon DeltaR with a forced
   /// recovery at the final step; exact, undiscounted.
   static Result solve_cycle(const pomdp::NodeModel& model,
-                            const pomdp::ObservationModel& obs, int delta_r,
-                            const IpOptions& options);
-  static Result solve_cycle(const pomdp::NodeModel& model,
-                            const pomdp::ObservationModel& obs, int delta_r) {
-    return solve_cycle(model, obs, delta_r, IpOptions{});
-  }
+                            const pomdp::ObservationModel& obs, int delta_r);
 
   /// Discounted infinite-horizon solve (the DeltaR = inf case), by value
   /// iteration with pruning until the max alpha change drops below tol.
   static Result solve_discounted(const pomdp::NodeModel& model,
                                  const pomdp::ObservationModel& obs,
-                                 double discount, double tol,
-                                 int max_iterations, const IpOptions& options);
-  static Result solve_discounted(const pomdp::NodeModel& model,
-                                 const pomdp::ObservationModel& obs,
                                  double discount = 0.99, double tol = 1e-6,
-                                 int max_iterations = 10000) {
-    return solve_discounted(model, obs, discount, tol, max_iterations,
-                            IpOptions{});
-  }
+                                 int max_iterations = 10000);
 
   /// Smallest belief at which the envelope's action switches to Recover;
   /// returns 1.0 if it never does (Thm. 1 / Fig. 15).  Reads the switch off

@@ -1,10 +1,4 @@
-// SimplexSolver dispatch + the legacy dense two-phase tableau core.
-//
-// The dense core is kept behind Options::dense_fallback for differential
-// testing against the sparse revised simplex (revised_simplex.cpp).  It
-// exports its optimal basis in the same shape-stable encoding, so a dense
-// solve can seed a warm-started revised solve.
-#include "tolerance/lp/simplex.hpp"
+#include "tolerance/oracles/dense_simplex.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -12,8 +6,16 @@
 
 #include "tolerance/util/ensure.hpp"
 
-namespace tolerance::lp {
+namespace tolerance::oracles {
 namespace {
+
+using lp::LinearProgram;
+using lp::LpSolution;
+using lp::LpStatus;
+using lp::Relation;
+
+constexpr long kMaxIterations = 200000;
+constexpr double kEps = 1e-9;  // pivot / feasibility tolerance
 
 // Dense tableau with rows = constraints, plus one cost row.  Column layout:
 // [original vars | slack/surplus | artificials | rhs].
@@ -55,23 +57,11 @@ struct Tableau {
 
 }  // namespace
 
-LpSolution SimplexSolver::solve(const LinearProgram& lp) const {
-  return options_.dense_fallback ? solve_dense(lp)
-                                 : solve_revised(lp, nullptr);
-}
-
-LpSolution SimplexSolver::solve(const LinearProgram& lp,
-                                const SimplexBasis& warm) const {
-  // The dense core has no warm-start path; it silently solves cold.
-  return options_.dense_fallback ? solve_dense(lp)
-                                 : solve_revised(lp, &warm);
-}
-
-LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
+LpSolution dense_simplex(const LinearProgram& lp,
+                         const lp::SimplexSolver::Options& options) {
   TOL_ENSURE(lp.num_vars > 0, "LP must have at least one variable");
   TOL_ENSURE(static_cast<int>(lp.objective.size()) == lp.num_vars,
              "objective size mismatch");
-  const double eps = options_.eps;
   const std::size_t m = lp.constraints.size();
   const std::size_t n = static_cast<std::size_t>(lp.num_vars);
 
@@ -151,16 +141,16 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
   auto run_simplex = [&](std::size_t num_cols_active) -> LpStatus {
     long stall = 0;
     while (true) {
-      if (iterations >= options_.max_iterations) {
+      if (iterations >= kMaxIterations) {
         return LpStatus::IterationLimit;
       }
       const double* cost = tab.row(tab.cost_row());
       // Entering column: Dantzig rule, or Bland's rule when stalling.
       std::size_t enter = num_cols_active;
-      const bool bland = stall > options_.bland_stall_threshold;
-      double best = -eps;
+      const bool bland = stall > options.bland_stall_threshold;
+      double best = -kEps;
       for (std::size_t c = 0; c < num_cols_active; ++c) {
-        if (cost[c] < -eps) {
+        if (cost[c] < -kEps) {
           if (bland) {
             enter = c;
             break;
@@ -177,7 +167,7 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t r = 0; r < m; ++r) {
         const double a = tab.at(r, enter);
-        if (a > eps) {
+        if (a > kEps) {
           const double ratio = tab.at(r, tab.rhs_col()) / a;
           if (ratio < best_ratio - 1e-12 ||
               (std::fabs(ratio - best_ratio) <= 1e-12 && leave < m &&
@@ -234,7 +224,7 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
       if (tab.basis[r] >= static_cast<int>(art_base)) {
         std::size_t enter = art_base;
         for (std::size_t c = 0; c < art_base; ++c) {
-          if (std::fabs(tab.at(r, c)) > eps) {
+          if (std::fabs(tab.at(r, c)) > kEps) {
             enter = c;
             break;
           }
@@ -278,9 +268,9 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
   }
   sol.objective = 0.0;
   for (std::size_t c = 0; c < n; ++c) sol.objective += lp.objective[c] * sol.x[c];
-  // Export the basis in the shape-stable encoding shared with the revised
-  // core: structural as-is, slack/surplus -> n + row, artificial -> n + row
-  // for Eq rows (their only auxiliary) or n + 2m... see SimplexBasis.
+  // Export the basis in the shape-stable encoding of lp::SimplexBasis:
+  // structural as-is, slack/surplus -> n + row, artificial -> n + row for
+  // Eq rows (their only auxiliary) or n + m + row for GreaterEq rows.
   sol.basis.basic.resize(m);
   for (std::size_t r = 0; r < m; ++r) {
     const auto b = static_cast<std::size_t>(tab.basis[r]);
@@ -297,4 +287,4 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
   return sol;
 }
 
-}  // namespace tolerance::lp
+}  // namespace tolerance::oracles

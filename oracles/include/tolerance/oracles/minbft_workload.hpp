@@ -1,7 +1,8 @@
-// Shared closed-loop workload driver and log-equivalence definition for the
-// consensus batching gates: the MinBftBatching unit tests and the Fig. 10 CI
-// bench must agree on what "identical operation logs" means, so both consume
-// this one implementation instead of keeping copies in sync.
+// Closed-loop tagged workload and log-equivalence definition for the
+// consensus differential gates: batched vs unbatched and speculative vs
+// baseline clusters must commit equivalent logs.  The consensus and runtime
+// tests and the Fig. 10 bench all consume this one implementation, so they
+// agree on what "identical operation logs" means.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 
 #include "tolerance/consensus/minbft_cluster.hpp"
 
-namespace tolerance::consensus {
+namespace tolerance::oracles {
 
 struct TaggedWorkloadResult {
   std::vector<std::string> log;  ///< replica 0's committed log (empty on error)
@@ -28,13 +29,13 @@ struct TaggedWorkloadResult {
 /// a given (cfg, link, seed) — including lossy or reordering links, whose
 /// randomness flows entirely from the seed.
 inline TaggedWorkloadResult run_tagged_workload_link(
-    const MinBftConfig& cfg, int n, int clients, int ops_each,
+    const consensus::MinBftConfig& cfg, int n, int clients, int ops_each,
     std::uint64_t seed, const net::LinkConfig& link,
     std::size_t max_events = 20000000) {
-  MinBftCluster cluster(n, cfg, seed, link);
+  consensus::MinBftCluster cluster(n, cfg, seed, link);
   TaggedWorkloadResult result;
   int done = 0;
-  std::vector<MinBftClient*> cs;
+  std::vector<consensus::MinBftClient*> cs;
   for (int c = 0; c < clients; ++c) cs.push_back(&cluster.add_client());
   std::function<void(int, int)> pump = [&](int c, int k) {
     if (k >= ops_each) {
@@ -91,7 +92,7 @@ inline TaggedWorkloadResult run_tagged_workload_link(
 /// The batching-gate workload: same driver over the deterministic
 /// (lossless, jitterless) 1 ms link both gates were pinned against.
 inline TaggedWorkloadResult run_tagged_workload(
-    const MinBftConfig& cfg, int n, int clients, int ops_each,
+    const consensus::MinBftConfig& cfg, int n, int clients, int ops_each,
     std::uint64_t seed, std::size_t max_events = 20000000) {
   net::LinkConfig link;
   link.base_delay = 1e-3;
@@ -135,4 +136,4 @@ inline bool logs_equivalent(const std::vector<std::string>& a,
   return true;
 }
 
-}  // namespace tolerance::consensus
+}  // namespace tolerance::oracles

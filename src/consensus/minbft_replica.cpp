@@ -25,6 +25,14 @@ constexpr std::size_t kRejectedKeyCap = 16384;
 /// make the overload strictly worse.  The timer stretches rather than
 /// disarms: a genuinely dead leader is still denounced, just patiently.
 constexpr double kOverloadViewChangeStretch = 8.0;
+/// Entries kept by the per-replica USIG verification cache.
+constexpr std::size_t kUsigCacheCapacity = 4096;
+/// Grace period before fetching a PREPARE that a commit quorum refers to
+/// but never arrived here.  Commit-before-prepare is usually plain
+/// reordering (the prepare is buffered in a flush window or a slower
+/// bundle) and resolves by itself; only when the prepare is still missing
+/// after this long was it dropped, and a relay is worth the traffic.
+constexpr double kPrepareFetchGrace = 0.02;
 
 }  // namespace
 
@@ -78,7 +86,7 @@ MinBftReplica::MinBftReplica(ReplicaId id, std::vector<ReplicaId> membership,
                                               key_seed ^ 0x5a5au),
             usig_epoch),
       admission_(config.admission), st_rng_(key_seed ^ 0x57a7eull),
-      usig_cache_(config.usig_cache_capacity) {
+      usig_cache_(kUsigCacheCapacity) {
   TOL_ENSURE(!membership_.empty(), "membership must be non-empty");
   TOL_ENSURE(config_.batch_size >= 1, "batch_size must be >= 1");
   TOL_ENSURE(config_.pipeline_depth >= 1, "pipeline_depth must be >= 1");
@@ -97,6 +105,7 @@ MinBftReplica::~MinBftReplica() {
   disarm_view_change_timer();
   disarm_batch_timer();
   disarm_state_transfer_timer();
+  if (repair_timer_armed_) net_->cancel(repair_timer_);
 }
 
 ReplicaId MinBftReplica::current_leader() const {
@@ -253,7 +262,7 @@ void MinBftReplica::handle_request(const Request& req) {
         // The entry committed since the tentative reply went out: re-sign
         // once with the FINAL flag and keep the fresh signature cached.
         cached.reply.speculative = spec_now;
-        net_->consume_cpu(id_, reply_cost());
+        net_->consume_cpu(id_, config_.crypto_cost_reply);
         cached.reply.signature = signer_.sign(cached.reply.payload());
       }
       net_->send(id_, req.client, MinBftMsg{cached.reply});
@@ -695,7 +704,7 @@ void MinBftReplica::handle_commit(const Commit& c) {
       const View v = view_;
       const SeqNum seq = c.seq;
       const ReplicaId committer = c.replica;
-      net_->schedule(id_, config_.prepare_fetch_grace,
+      net_->schedule(id_, kPrepareFetchGrace,
                      [this, v, seq, committer]() {
                        if (view_ != v || in_view_change_) return;
                        if (seq <= stable_checkpoint_ ||
@@ -781,7 +790,7 @@ void MinBftReplica::send_reply(const Request& req, std::string result,
   reply.request_id = req.request_id;
   reply.result = std::move(result);
   reply.speculative = speculative;
-  net_->consume_cpu(id_, reply_cost());
+  net_->consume_cpu(id_, config_.crypto_cost_reply);
   reply.signature = signer_.sign(reply.payload());
   net_->send(id_, req.client, MinBftMsg{reply});
   reply_cache_[req.client] = CachedReply{req.request_id, reply, !speculative};
@@ -850,7 +859,7 @@ void MinBftReplica::confirm_entry(PendingEntry& entry) {
     it->second.committed = true;
     if (designated && it->second.reply.speculative) {
       it->second.reply.speculative = false;
-      net_->consume_cpu(id_, reply_cost());
+      net_->consume_cpu(id_, config_.crypto_cost_reply);
       it->second.reply.signature = signer_.sign(it->second.reply.payload());
       net_->send(id_, req.client, MinBftMsg{it->second.reply});
     }

@@ -399,8 +399,15 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
       recovered_ids.push_back(node.id);
       testbed.recover(i);
       // Fig. 17d: fresh container, same id, bumped USIG epoch, state
-      // transfer from peers; the fresh replica starts Honest.
-      cluster.recover_replica(node_to_replica.at(node.id));
+      // transfer from peers; the fresh replica starts Honest.  An eviction
+      // ordered past its budget may already have executed and removed the
+      // id; the reconciliation step below finalizes it instead.
+      const ReplicaId rid = node_to_replica.at(node.id);
+      const auto membership = cluster.membership();
+      if (std::find(membership.begin(), membership.end(), rid) !=
+          membership.end()) {
+        cluster.recover_replica(rid);
+      }
       ++result.recoveries;
     }
 

@@ -1,9 +1,9 @@
-// Sparse revised simplex with an eta-file (product-form) basis factorization
-// and warm starting.  See simplex.hpp for the design overview.
+// Sparse revised simplex with an LU + eta-file basis factorization and warm
+// starting.  See simplex.hpp for the design overview.
 //
-// Standard form used internally (identical to the dense core's, so bases are
-// interchangeable): rows are normalized to rhs >= 0, every variable is
-// non-negative, and the column space is
+// Standard form used internally (the shape-stable encoding of SimplexBasis):
+// rows are normalized to rhs >= 0, every variable is non-negative, and the
+// column space is
 //   [0, n)            structural variables,
 //   [n, n + m)        per-row auxiliary: slack (LessEq, +1),
 //                     surplus (GreaterEq, -1), artificial (Eq, +1),
@@ -12,8 +12,6 @@
 // pinned at zero on redundant rows, guarded by the ratio test).
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -24,6 +22,18 @@ namespace tolerance::lp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr long kMaxIterations = 200000;
+constexpr double kEps = 1e-9;  // pivot / feasibility tolerance
+// Partial pricing: eligible columns scanned per iteration before the best
+// candidate is taken.
+constexpr int kPriceWindow = 192;
+// Pivots between reinversions of the base factorization.
+constexpr int kRefactorInterval = 96;
+// Dual-simplex pivots spent repairing a warm basis before a cold solve.
+constexpr int kDualRepairLimit = 400;
+// Threshold pivoting in the Markowitz reinversion: rows within this factor
+// of the largest transformed entry are acceptable pivots.
+constexpr double kMarkowitzThreshold = 0.01;
 
 enum class ColKind : unsigned char { Structural, Slack, Surplus, Artificial };
 
@@ -131,10 +141,6 @@ struct Problem {
     return y[aux_row(j)] * sign;
   }
 
-  std::size_t col_nnz(std::size_t j) const {
-    return j < n ? cptr[j + 1] - cptr[j] : 1;
-  }
-
   double cost(std::size_t j, bool phase1) const {
     if (phase1) return is_artificial(j) ? 1.0 : 0.0;
     return j < n ? objective[j] : 0.0;
@@ -218,93 +224,21 @@ class RevisedCore {
 
   // --- factorization -------------------------------------------------------
 
-  /// Rebuild the base factorization from the current basis.  Two modes:
-  ///
-  ///  * Markowitz elimination form (default): a sparse LU with dynamic
-  ///    nnz-minimizing pivot ordering.  The next column is the one with the
-  ///    fewest nonzeros in still-unpivoted rows; its pivot row is the
-  ///    numerically acceptable (threshold-pivoted) row shared with the
-  ///    fewest remaining columns.  A permuted-triangular basis factors with
-  ///    zero fill under this order, and the occupancy LP's bases — a sparse
-  ///    kernel bump over near-banded flow rows — stay close to that, so the
-  ///    file stays near nnz(B) instead of the ~m^2/2 a Gauss-Jordan
-  ///    product-form inverse accumulates (the fill that kept the cold
-  ///    Fig. 9 smax=2048 solve at dense-tableau parity).
-  ///  * Static Gauss-Jordan (Options::markowitz_reinversion = false): the
-  ///    pre-Markowitz product-form reinversion — ascending original column
-  ///    nnz, pure partial pivoting — kept for differential testing and as
-  ///    the before/after baseline of the bench.
+  /// Rebuild the base factorization from the current basis: a sparse LU
+  /// in elimination form with dynamic nnz-minimizing (Markowitz) pivot
+  /// ordering.  The next column is the one with the fewest nonzeros in
+  /// still-unpivoted rows; its pivot row is the numerically acceptable
+  /// (threshold-pivoted) row shared with the fewest remaining columns.  A
+  /// permuted-triangular basis factors with zero fill under this order, and
+  /// the occupancy LP's bases — a sparse kernel bump over near-banded flow
+  /// rows — stay close to that, so the file stays near nnz(B) instead of
+  /// the ~m^2/2 a Gauss-Jordan product-form inverse accumulates (the fill
+  /// that kept the cold Fig. 9 smax=2048 solve at dense-tableau parity).
   ///
   /// Returns false on a (numerically) singular basis.  On success the
   /// row <-> basic-column assignment may be permuted, which is fine: a
   /// basis is a column set, the row map is bookkeeping.
   bool factorize() {
-    return opt_.markowitz_reinversion ? factorize_markowitz()
-                                      : factorize_static();
-  }
-
-  bool factorize_static() {
-    std::vector<Eta> fresh;
-    fresh.reserve(p_.m);
-    std::size_t fresh_nnz = 0;
-    // Unit columns first (they generate no fill), then structural columns
-    // by ascending nonzero count.
-    std::vector<int> cols = basis_;
-    std::stable_sort(cols.begin(), cols.end(), [&](int a, int b) {
-      return p_.col_nnz(static_cast<std::size_t>(a)) <
-             p_.col_nnz(static_cast<std::size_t>(b));
-    });
-    std::vector<char> row_done(p_.m, 0);
-    std::vector<int> new_basis(p_.m, -1);
-    for (const int cj : cols) {
-      const auto j = static_cast<std::size_t>(cj);
-      std::fill(work_.begin(), work_.end(), 0.0);
-      p_.scatter(j, 1.0, work_);
-      for (const Eta& e : fresh) apply_one_ftran(e, work_);
-      std::size_t best_row = p_.m;
-      double best_abs = 0.0;
-      for (std::size_t i = 0; i < p_.m; ++i) {
-        if (!row_done[i] && std::fabs(work_[i]) > best_abs) {
-          best_abs = std::fabs(work_[i]);
-          best_row = i;
-        }
-      }
-      // Partial pivoting: anything comfortably above the noise floor works.
-      // A basis reached through > eps ratio-test pivots can still present
-      // small reinversion pivots, so this threshold is deliberately looser
-      // than the pricing tolerance.
-      if (best_row == p_.m || best_abs <= 1e-12) {
-        if (std::getenv("TOLERANCE_LP_DEBUG") != nullptr) {
-          std::fprintf(stderr,
-                       "[lp] factorize singular at col %d best_abs=%g\n", cj,
-                       best_abs);
-        }
-        factor_ok_ = false;
-        return false;  // singular
-      }
-      Eta e;
-      e.row = static_cast<int>(best_row);
-      e.pivot = work_[best_row];
-      for (std::size_t i = 0; i < p_.m; ++i) {
-        if (i != best_row && work_[i] != 0.0) {
-          e.terms.push_back({static_cast<int>(i), work_[i]});
-        }
-      }
-      fresh_nnz += e.terms.size() + 1;
-      fresh.push_back(std::move(e));
-      row_done[best_row] = 1;
-      new_basis[best_row] = cj;
-    }
-    lu_.clear();
-    etas_ = std::move(fresh);
-    eta_nnz_ = fresh_nnz;
-    set_basis(new_basis);
-    pivots_since_factor_ = 0;
-    factor_ok_ = true;
-    return true;
-  }
-
-  bool factorize_markowitz() {
     std::vector<LuStep> fresh;
     fresh.reserve(p_.m);
     std::size_t fresh_nnz = 0;
@@ -343,13 +277,9 @@ class RevisedCore {
       row_done[row] = 1;
       new_basis[row] = cj;
     };
-    const auto report_singular = [&](int cj, double best_abs) {
-      if (std::getenv("TOLERANCE_LP_DEBUG") != nullptr) {
-        std::fprintf(stderr,
-                     "[lp] factorize singular at col %d best_abs=%g\n", cj,
-                     best_abs);
-      }
+    const auto singular = [&]() {
       factor_ok_ = false;
+      return false;
     };
 
     // Unit (aux/artificial) columns first: single ±1 entry, fixed row, no
@@ -363,15 +293,9 @@ class RevisedCore {
         continue;
       }
       const std::size_t row = p_.aux_row(j);
-      if (row_done[row]) {
-        report_singular(cj, 0.0);
-        return false;
-      }
+      if (row_done[row]) return singular();
       transform(cj);
-      if (std::fabs(work_[row]) <= 1e-12) {
-        report_singular(cj, std::fabs(work_[row]));
-        return false;
-      }
+      if (std::fabs(work_[row]) <= 1e-12) return singular();
       eliminate(cj, row);
     }
     std::sort(structural.begin(), structural.end());
@@ -408,17 +332,12 @@ class RevisedCore {
       for (std::size_t i = 0; i < p_.m; ++i) {
         if (!row_done[i]) vmax = std::max(vmax, std::fabs(work_[i]));
       }
-      if (vmax <= 1e-12) {
-        report_singular(cj, vmax);
-        return false;
-      }
-      // Threshold pivoting: among rows within markowitz_threshold of the
+      if (vmax <= 1e-12) return singular();
+      // Threshold pivoting: among rows within kMarkowitzThreshold of the
       // largest transformed entry, take the one shared with the fewest
       // remaining columns (least prospective fill), breaking ties toward
-      // the larger magnitude.  The threshold is clamped to 1 so the
-      // largest entry always qualifies.
-      const double floor = std::max(
-          1e-12, std::min(opt_.markowitz_threshold, 1.0) * vmax);
+      // the larger magnitude.  The largest entry always qualifies.
+      const double floor = std::max(1e-12, kMarkowitzThreshold * vmax);
       std::size_t best_row = p_.m;
       for (std::size_t i = 0; i < p_.m; ++i) {
         if (row_done[i] || std::fabs(work_[i]) < floor) continue;
@@ -428,10 +347,7 @@ class RevisedCore {
           best_row = i;
         }
       }
-      if (best_row == p_.m) {  // defensive: cannot happen with the clamp
-        report_singular(cj, vmax);
-        return false;
-      }
+      if (best_row == p_.m) return singular();  // defensive: cannot happen
       eliminate(cj, best_row);
       col_done[best_c] = 1;
       // The chosen column's pattern rows lose one prospective column; the
@@ -450,10 +366,6 @@ class RevisedCore {
     lu_ = std::move(fresh);
     etas_.clear();
     eta_nnz_ = fresh_nnz;
-    if (std::getenv("TOLERANCE_LP_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[lp] LU reinversion: steps=%zu nnz=%zu\n",
-                   lu_.size(), eta_nnz_);
-    }
     set_basis(new_basis);
     pivots_since_factor_ = 0;
     factor_ok_ = true;
@@ -491,9 +403,8 @@ class RevisedCore {
     x[r] = t;
   }
 
-  /// x := B^{-1} x through the base factorization (LU steps when the
-  /// Markowitz reinversion built one, Gauss-Jordan etas otherwise) followed
-  /// by the incremental update etas pushed since.
+  /// x := B^{-1} x through the LU base factorization followed by the
+  /// update etas pushed since.
   void apply_etas_ftran(std::vector<double>& x) const {
     for (const LuStep& s : lu_) {  // L forward
       const double t = x[static_cast<std::size_t>(s.row)];
@@ -563,17 +474,9 @@ class RevisedCore {
     std::vector<double> y;
     bool verified = false;  // optimality re-checked on a fresh factorization
     int failed_certifications = 0;
-    const bool debug = std::getenv("TOLERANCE_LP_DEBUG") != nullptr;
     while (true) {
-      if (iterations_ >= opt_.max_iterations) return LpStatus::IterationLimit;
+      if (iterations_ >= kMaxIterations) return LpStatus::IterationLimit;
       maybe_refactor();
-      if (debug && iterations_ % 500 == 0) {
-        std::fprintf(
-            stderr,
-            "[lp] phase%d iter=%ld etas=%zu eta_nnz=%zu stall=%ld p1obj=%g\n",
-            phase1 ? 1 : 2, iterations_, etas_.size(), eta_nnz_, stall,
-            phase1_objective());
-      }
       compute_duals(phase1, y);
       const bool bland = stall > opt_.bland_stall_threshold;
       const std::size_t enter = price(phase1, y, bland);
@@ -582,12 +485,6 @@ class RevisedCore {
         // eta file (or columns parked by pivot rejection) declaring a false
         // optimum: refactorize once, clear the parked set, and re-check.
         if ((verified || factorization_fresh()) && !banned_dirty_) {
-          if (debug) {
-            std::fprintf(stderr,
-                         "[lp] phase%d optimal at iter=%ld p1obj=%g minxb=%g\n",
-                         phase1 ? 1 : 2, iterations_, phase1_objective(),
-                         min_xb());
-          }
           return LpStatus::Optimal;
         }
         refactor_now();
@@ -617,13 +514,6 @@ class RevisedCore {
           }
           continue;
         }
-        if (debug) {
-          double wmax = 0.0;
-          for (double v : work_) wmax = std::max(wmax, v);
-          std::fprintf(stderr,
-                       "[lp] unbounded: phase%d iter=%ld enter=%zu wmax=%g\n",
-                       phase1 ? 1 : 2, iterations_, enter, wmax);
-        }
         return LpStatus::Unbounded;
       }
       // Pivot-size discipline: a tiny pivot element means the entering
@@ -637,7 +527,7 @@ class RevisedCore {
         continue;
       }
       verified = false;
-      const double theta = work_[leave] > opt_.eps
+      const double theta = work_[leave] > kEps
                                ? std::max(0.0, xb_[leave]) / work_[leave]
                                : 0.0;  // pinned artificial, either sign
       stall = theta <= 1e-12 ? stall + 1 : 0;
@@ -652,7 +542,7 @@ class RevisedCore {
   /// feasible point, IterationLimit when the repair budget runs out.
   LpStatus dual_repair() {
     std::vector<double> y, row(p_.m, 0.0);
-    for (int it = 0; it < opt_.dual_repair_limit; ++it) {
+    for (int it = 0; it < kDualRepairLimit; ++it) {
       std::size_t leave = kNoRow;
       double most_neg = -1e-7;
       for (std::size_t r = 0; r < p_.m; ++r) {
@@ -674,7 +564,7 @@ class RevisedCore {
       for (std::size_t j = 0; j < p_.n + p_.m; ++j) {
         if (pos_[j] >= 0 || p_.is_artificial(j)) continue;
         const double alpha = p_.dot(row, j);
-        if (alpha < -opt_.eps) {
+        if (alpha < -kEps) {
           const double d = p_.cost(j, false) - p_.dot(y, j);
           const double ratio = std::max(d, 0.0) / -alpha;
           if (ratio < best_ratio - 1e-12 ||
@@ -690,7 +580,7 @@ class RevisedCore {
       std::fill(work_.begin(), work_.end(), 0.0);
       p_.scatter(enter, 1.0, work_);
       apply_etas_ftran(work_);
-      if (std::fabs(work_[leave]) <= opt_.eps) {
+      if (std::fabs(work_[leave]) <= kEps) {
         return LpStatus::IterationLimit;  // numerically stuck; caller falls back
       }
       const double theta = xb_[leave] / work_[leave];
@@ -750,17 +640,9 @@ class RevisedCore {
       std::numeric_limits<std::size_t>::max();
 
   void maybe_refactor() {
-    // The Gauss-Jordan reinversion costs O(fill * m), so the static mode
-    // spreads it out on big instances even though the eta file (and
-    // FTRAN/BTRAN sweeps) grow meanwhile.  The Markowitz LU reinversion is
-    // cheap enough that a fixed cadence wins: it keeps the dense-ish update
-    // etas from dominating the sweeps.
-    const long interval =
-        opt_.markowitz_reinversion
-            ? opt_.refactor_interval
-            : std::max<long>(opt_.refactor_interval,
-                             static_cast<long>(p_.m) / 4);
-    if (pivots_since_factor_ >= interval) refactor_now();
+    // The LU reinversion is cheap enough that a fixed cadence wins: it
+    // keeps the dense-ish update etas from dominating the sweeps.
+    if (pivots_since_factor_ >= kRefactorInterval) refactor_now();
   }
 
   void ban(std::size_t j) {
@@ -795,14 +677,14 @@ class RevisedCore {
   std::size_t price(bool phase1, const std::vector<double>& y, bool bland) {
     const std::size_t scan_end = p_.n + p_.m;  // artificials never enter
     std::size_t best = kNoCol;
-    double best_d = -opt_.eps;
+    double best_d = -kEps;
     std::size_t scanned = 0;
     std::size_t j = bland ? 0 : cursor_ % scan_end;
-    int window_left = opt_.price_window;
+    int window_left = kPriceWindow;
     while (scanned < scan_end) {
       if (pos_[j] < 0 && !banned_[j] && !p_.is_artificial(j)) {
         const double d = p_.cost(j, phase1) - p_.dot(y, j);
-        if (d < -opt_.eps) {
+        if (d < -kEps) {
           if (bland) return j;
           if (d < best_d) {
             best_d = d;
@@ -814,14 +696,14 @@ class RevisedCore {
       j = j + 1 == scan_end ? 0 : j + 1;
       if (!bland && --window_left == 0) {
         if (best != kNoCol) break;
-        window_left = opt_.price_window;
+        window_left = kPriceWindow;
       }
     }
     if (best != kNoCol) cursor_ = j;
     return best;
   }
 
-  /// Min-ratio test with two refinements over the dense core's:
+  /// Min-ratio test with two refinements over the textbook one:
   ///  * In phase 2, a row whose basic variable is a zero-valued artificial
   ///    (a redundant row left over from phase 1) joins as a ratio-0
   ///    candidate on *either* pivot sign, so an artificial can never grow
@@ -842,9 +724,9 @@ class RevisedCore {
       // Artificials carrying only tolerance-level mass (phase 1 ends within
       // the perturbation noise of zero) count as pinned-at-zero.
       const bool art_pin =
-          !phase1 && std::fabs(a) > opt_.eps && xb_[r] <= 1e-6 &&
+          !phase1 && std::fabs(a) > kEps && xb_[r] <= 1e-6 &&
           p_.is_artificial(static_cast<std::size_t>(basis_[r]));
-      if (a <= opt_.eps && !art_pin) continue;
+      if (a <= kEps && !art_pin) continue;
       const double ratio = art_pin ? 0.0 : std::max(0.0, xb_[r]) / a;
       if (ratio < best_ratio - 1e-12) {
         best_ratio = ratio;
@@ -888,7 +770,7 @@ class RevisedCore {
   std::vector<double> xb_;
   std::vector<double> work_;   // FTRAN scratch (also the last pivot column)
   std::vector<LuStep> lu_;     // base factorization (Markowitz reinversion)
-  std::vector<Eta> etas_;      // GJ base (static mode) + incremental updates
+  std::vector<Eta> etas_;      // updates since the last reinversion
   std::size_t eta_nnz_ = 0;
   std::size_t cursor_ = 0;     // partial-pricing rotation state
   long iterations_ = 0;
@@ -909,25 +791,26 @@ bool valid_warm_basis(const Problem& p, const SimplexBasis& warm) {
 
 }  // namespace
 
-LpSolution SimplexSolver::solve_revised(const LinearProgram& lp,
-                                        const SimplexBasis* warm) const {
+LpSolution SimplexSolver::solve(const LinearProgram& lp) const {
+  return solve(lp, SimplexBasis{});
+}
+
+LpSolution SimplexSolver::solve(const LinearProgram& lp,
+                                const SimplexBasis& warm) const {
   TOL_ENSURE(lp.num_vars > 0, "LP must have at least one variable");
   TOL_ENSURE(static_cast<int>(lp.objective.size()) == lp.num_vars,
              "objective size mismatch");
-  const bool debug = std::getenv("TOLERANCE_LP_DEBUG") != nullptr;
-  if (debug) std::fprintf(stderr, "[lp] building problem\n");
   const Problem p = build_problem(lp);
-  if (debug) std::fprintf(stderr, "[lp] problem built m=%zu n=%zu\n", p.m, p.n);
   RevisedCore core(p, options_);
   LpSolution sol;
 
   // --- warm-start attempt --------------------------------------------------
   bool warm_ready = false;  // basis factorized and primal feasible
-  if (warm != nullptr && !warm->empty()) {
+  if (!warm.empty()) {
     sol.warm_start = WarmStart::Rejected;
     core.set_perturbed(false);  // warm bases are judged against the true rhs
-    if (valid_warm_basis(p, *warm)) {
-      core.set_basis(warm->basic);
+    if (valid_warm_basis(p, warm)) {
+      core.set_basis(warm.basic);
       if (core.factorize()) {
         core.compute_xb();
         // A usable warm basis needs x_B >= 0 AND any basic artificials at
@@ -974,7 +857,6 @@ LpSolution SimplexSolver::solve_revised(const LinearProgram& lp,
       // cycles through degenerate pivots forever.
       core.set_perturbed(true);
       core.compute_xb();
-      if (debug) std::fprintf(stderr, "[lp] crash basis factorized\n");
       const LpStatus st = core.primal(/*phase1=*/true);
       if (st != LpStatus::Optimal) {
         // Phase 1 is bounded below by 0; Unbounded here is numerical noise.
@@ -986,11 +868,7 @@ LpSolution SimplexSolver::solve_revised(const LinearProgram& lp,
       core.set_perturbed(false);
       core.refresh_if_stale();
       core.compute_xb();
-      if (debug) {
-        std::fprintf(stderr, "[lp] true-rhs p1obj=%g minxb=%g\n",
-                     core.phase1_objective(), core.min_xb());
-      }
-      // Slightly looser than the dense core's 1e-7: the perturbed phase 1
+      // Slightly looser than the textbook 1e-7: the perturbed phase 1
       // can park tolerance-level mass (~ the injected perturbation, 1e-7
       // sized) on an artificial of a feasible LP; genuinely infeasible
       // LPs overshoot this by orders of magnitude.

@@ -39,9 +39,7 @@ bool CmdpSolution::valid_policy() const {
   return true;
 }
 
-CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
-                                  lp::SimplexSolver::Options lp_options,
-                                  const lp::SimplexBasis* warm) {
+lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp) {
   const int n = cmdp.num_states();
   // Variable layout: rho(s, a) at index 2*s + a, plus one aggregate z at
   // index 2n (see below).
@@ -128,7 +126,14 @@ CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
     terms.push_back({z_var, -1.0});
     program.add_constraint(std::move(terms), lp::Relation::Eq, 0.0);
   }
+  return program;
+}
 
+CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
+                                  lp::SimplexSolver::Options lp_options,
+                                  const lp::SimplexBasis* warm) {
+  const int n = cmdp.num_states();
+  const lp::LinearProgram program = replication_lp(cmdp);
   const lp::SimplexSolver solver(lp_options);
   // Starting basis: the caller's warm basis if given, else a policy crash
   // basis — the occupancy columns rho(s, 1) of the always-add policy (one
@@ -137,17 +142,16 @@ CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
   // one).  If the crash turns out infeasible or singular the solver falls
   // back to a from-scratch phase 1 on its own.
   lp::SimplexBasis crash;
-  if (warm == nullptr && !lp_options.dense_fallback) {
+  if (warm == nullptr) {
     crash.basic.reserve(static_cast<std::size_t>(n + 3));
     for (int s = 0; s < n; ++s) crash.basic.push_back(2 * s + 1);
-    crash.basic.push_back(z_var);               // floor aggregate
+    crash.basic.push_back(2 * n);               // floor aggregate z
     const int num_vars = 2 * n + 1;
     crash.basic.push_back(num_vars + 1);        // artificial, flow row of s=0
     crash.basic.push_back(num_vars + (n + 1));  // availability surplus
     warm = &crash;
   }
-  const lp::LpSolution lp_solution =
-      warm != nullptr ? solver.solve(program, *warm) : solver.solve(program);
+  const lp::LpSolution lp_solution = solver.solve(program, *warm);
 
   CmdpSolution out;
   out.status = lp_solution.status;

@@ -5,9 +5,8 @@
 #include <limits>
 #include <utility>
 
-#include "tolerance/lp/simplex.hpp"
+#include "ip_detail.hpp"
 #include "tolerance/util/ensure.hpp"
-#include "tolerance/util/parallel.hpp"
 
 namespace tolerance::solvers {
 namespace {
@@ -33,9 +32,11 @@ struct Hull {
   }
 };
 
+}  // namespace
+
 /// Sort by slope descending (ties: lowest intercept first) and drop
 /// eps-parallel duplicates, keeping the lowest.
-void sort_dedup(std::vector<AlphaVector>& alphas, double eps) {
+void detail::sort_dedup(std::vector<AlphaVector>& alphas, double eps) {
   std::sort(alphas.begin(), alphas.end(),
             [](const AlphaVector& x, const AlphaVector& y) {
               const double sx = slope(x);
@@ -52,6 +53,8 @@ void sort_dedup(std::vector<AlphaVector>& alphas, double eps) {
   }
   alphas.resize(out);
 }
+
+namespace {
 
 /// Lower-envelope sweep over lines already sorted by slope descending and
 /// deduplicated; fills `hull` with the surviving lines and their activation
@@ -85,7 +88,7 @@ void sweep(const std::vector<AlphaVector>& sorted, double eps, Hull& hull) {
 }
 
 void hull_prune(std::vector<AlphaVector> alphas, double eps, Hull& hull) {
-  sort_dedup(alphas, eps);
+  detail::sort_dedup(alphas, eps);
   sweep(alphas, eps, hull);
 }
 
@@ -122,7 +125,7 @@ void cap_hull(Hull& hull, int max_alpha, double eps,
 // Backup
 // ---------------------------------------------------------------------------
 
-/// Scratch buffers for one action's backup, reused across observations and
+/// Scratch buffers for the backups, reused across actions, observations and
 /// stages so the hot loop performs no steady-state allocation.
 struct BackupWorkspace {
   std::vector<AlphaVector> proj;
@@ -160,12 +163,14 @@ void cross_sum_merge(const Hull& a, const Hull& b, NodeAction action,
   }
 }
 
+}  // namespace
+
 /// Project the next-stage alpha set through (action, observation):
 ///   g(s) = discount * sum_{s' in {H,C}} f(s'|s,a) Z(o|s') alpha(s').
 /// The crash branch contributes 0 (value of a crashed node is 0).
-void project(const NodeModel& model, const ObservationModel& obs,
-             const std::vector<AlphaVector>& next, NodeAction a, int o,
-             double discount, std::vector<AlphaVector>& out) {
+void detail::project(const NodeModel& model, const ObservationModel& obs,
+                     const std::vector<AlphaVector>& next, NodeAction a,
+                     int o, double discount, std::vector<AlphaVector>& out) {
   const double f_hh = model.transition(NodeState::Healthy, a, NodeState::Healthy);
   const double f_hc = model.transition(NodeState::Healthy, a, NodeState::Compromised);
   const double f_ch = model.transition(NodeState::Compromised, a, NodeState::Healthy);
@@ -185,103 +190,44 @@ void project(const NodeModel& model, const ObservationModel& obs,
   }
 }
 
-constexpr double kPruneEps = 1e-12;
+namespace {
 
-/// One action's backup via breakpoint-merge cross-sums (the fast path).
+constexpr double kPruneEps = 1e-12;
+// Bounded-error cap on every pruned set inside the backups.
+constexpr int kMaxAlpha = 64;
+
+/// One action's backup via breakpoint-merge cross-sums, appended to `out`.
 void backup_action(const NodeModel& model, const ObservationModel& obs,
                    const std::vector<AlphaVector>& next, NodeAction a,
-                   double discount, const IpOptions& opt,
-                   BackupWorkspace& ws, std::vector<AlphaVector>& result) {
+                   double discount, BackupWorkspace& ws,
+                   std::vector<AlphaVector>& out) {
   const int num_obs = obs.num_observations();
   ws.acc.lines.assign(1, {model.cost(NodeState::Healthy, a),
                           model.cost(NodeState::Compromised, a), a});
   ws.acc.start.assign(1, 0.0);
   for (int o = 0; o < num_obs; ++o) {
-    project(model, obs, next, a, o, discount, ws.proj);
+    detail::project(model, obs, next, a, o, discount, ws.proj);
     hull_prune(std::move(ws.proj), kPruneEps, ws.gamma);
     ws.proj.clear();
-    cap_hull(ws.gamma, opt.max_alpha, kPruneEps, ws.capped);
+    cap_hull(ws.gamma, kMaxAlpha, kPruneEps, ws.capped);
     cross_sum_merge(ws.acc, ws.gamma, a, ws.next);
     std::swap(ws.acc, ws.next);
-    cap_hull(ws.acc, opt.max_alpha, kPruneEps, ws.capped);
+    cap_hull(ws.acc, kMaxAlpha, kPruneEps, ws.capped);
   }
-  result = ws.acc.lines;
+  out.insert(out.end(), ws.acc.lines.begin(), ws.acc.lines.end());
 }
 
-/// One action's backup via the pre-overhaul enumeration path (kept as the
-/// reference for the regression suite and the Fig. 8 speedup bench); with
-/// opt.lp_prune_crosscheck the pruning runs through prune_lp instead of the
-/// hull sweep.
-void backup_action_reference(const NodeModel& model,
-                             const ObservationModel& obs,
-                             const std::vector<AlphaVector>& next,
-                             NodeAction a, double discount,
-                             const IpOptions& opt,
-                             std::vector<AlphaVector>& result) {
-  const auto prune_via = [&](std::vector<AlphaVector> v) {
-    return opt.lp_prune_crosscheck
-               ? prune_lp(std::move(v))
-               : prune(std::move(v), kPruneEps, opt.max_alpha);
-  };
-  const int num_obs = obs.num_observations();
-  std::vector<std::vector<AlphaVector>> gamma(
-      static_cast<std::size_t>(num_obs));
-  for (int o = 0; o < num_obs; ++o) {
-    auto& set = gamma[static_cast<std::size_t>(o)];
-    project(model, obs, next, a, o, discount, set);
-    set = prune_via(std::move(set));
-  }
-  std::vector<AlphaVector> acc{{model.cost(NodeState::Healthy, a),
-                                model.cost(NodeState::Compromised, a), a}};
-  for (int o = 0; o < num_obs; ++o) {
-    const auto& set = gamma[static_cast<std::size_t>(o)];
-    std::vector<AlphaVector> cross;
-    cross.reserve(acc.size() * set.size());
-    for (const AlphaVector& u : acc) {
-      for (const AlphaVector& v : set) {
-        cross.push_back(
-            {u.v_healthy + v.v_healthy, u.v_compromised + v.v_compromised, a});
-      }
-    }
-    acc = prune_via(std::move(cross));
-  }
-  result = std::move(acc);
-}
-
-/// One DP backup over the allowed actions.  Per-action backups run on the
-/// shared worker pool; the merge concatenates in action order, so results
-/// are bit-identical at any thread count.
+/// One DP backup over both actions: per-action sets concatenated in action
+/// order, then pruned.
 std::vector<AlphaVector> backup(const NodeModel& model,
                                 const ObservationModel& obs,
                                 const std::vector<AlphaVector>& next,
-                                const std::vector<NodeAction>& actions,
-                                double discount, const IpOptions& opt,
-                                std::vector<BackupWorkspace>& workspaces,
-                                std::vector<std::vector<AlphaVector>>& slots) {
-  workspaces.resize(actions.size());
-  slots.resize(actions.size());
-  const auto run_one = [&](std::int64_t i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (opt.reference_backup || opt.lp_prune_crosscheck) {
-      backup_action_reference(model, obs, next, actions[idx], discount, opt,
-                              slots[idx]);
-    } else {
-      backup_action(model, obs, next, actions[idx], discount, opt,
-                    workspaces[idx], slots[idx]);
-    }
-  };
-  if (actions.size() > 1 && util::resolve_threads(opt.threads) > 1) {
-    util::ParallelRunner(opt.threads)
-        .for_each(static_cast<std::int64_t>(actions.size()), run_one);
-  } else {
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      run_one(static_cast<std::int64_t>(i));
-    }
-  }
+                                double discount, BackupWorkspace& ws) {
   std::vector<AlphaVector> out;
-  for (const auto& slot : slots) out.insert(out.end(), slot.begin(), slot.end());
-  if (opt.lp_prune_crosscheck) return prune_lp(std::move(out));
-  return prune(std::move(out), kPruneEps, opt.max_alpha);
+  for (const NodeAction a : {NodeAction::Wait, NodeAction::Recover}) {
+    backup_action(model, obs, next, a, discount, ws, out);
+  }
+  return prune(std::move(out), kPruneEps, kMaxAlpha);
 }
 
 }  // namespace
@@ -319,44 +265,9 @@ std::vector<AlphaVector> prune(std::vector<AlphaVector> alphas, double eps,
   return std::move(hull.lines);
 }
 
-std::vector<AlphaVector> prune_lp(std::vector<AlphaVector> alphas,
-                                  double eps) {
-  if (alphas.size() <= 1) return alphas;
-  // Same parallel-line dedup as the sweep, so ties cannot keep both copies.
-  sort_dedup(alphas, 1e-12);
-  // Witness LP per candidate i over variables (b, d+, d-):
-  //   maximize d   s.t.  b <= 1,  and for every j != i
-  //   (s_i - s_j) b + d <= h_j - h_i            (d := d+ - d-)
-  // i.e. alpha_i(b) + d <= alpha_j(b).  Keep i iff the optimal witness gap
-  // d* exceeds eps: somewhere on [0, 1] the line sits strictly below every
-  // other, exactly the sweep's survival criterion (lines touching the
-  // envelope at a single point are dropped by both).
-  const lp::SimplexSolver solver;
-  std::vector<AlphaVector> kept;
-  for (std::size_t i = 0; i < alphas.size(); ++i) {
-    lp::LinearProgram witness(3);
-    witness.objective = {0.0, -1.0, 1.0};
-    witness.add_constraint({{0, 1.0}}, lp::Relation::LessEq, 1.0);
-    for (std::size_t j = 0; j < alphas.size(); ++j) {
-      if (j == i) continue;
-      witness.add_constraint(
-          {{0, slope(alphas[i]) - slope(alphas[j])}, {1, 1.0}, {2, -1.0}},
-          lp::Relation::LessEq,
-          alphas[j].v_healthy - alphas[i].v_healthy);
-    }
-    const auto sol = solver.solve(witness);
-    const bool keep =
-        sol.status != lp::LpStatus::Optimal || -sol.objective > eps;
-    if (keep) kept.push_back(alphas[i]);
-  }
-  return kept;
-}
-
 IncrementalPruning::Result IncrementalPruning::solve_cycle(
-    const NodeModel& model, const ObservationModel& obs, int delta_r,
-    const IpOptions& options) {
+    const NodeModel& model, const ObservationModel& obs, int delta_r) {
   TOL_ENSURE(delta_r >= 1, "cycle solve needs DeltaR >= 1");
-  TOL_ENSURE(options.max_alpha >= 1, "max_alpha must be >= 1");
   Result result;
   result.value_functions.assign(static_cast<std::size_t>(delta_r), {});
   // Terminal stage t = DeltaR: forced recovery, no continuation (the next
@@ -365,13 +276,11 @@ IncrementalPruning::Result IncrementalPruning::solve_cycle(
       {model.cost(NodeState::Healthy, NodeAction::Recover),
        model.cost(NodeState::Compromised, NodeAction::Recover),
        NodeAction::Recover}};
-  const std::vector<NodeAction> both{NodeAction::Wait, NodeAction::Recover};
-  std::vector<BackupWorkspace> workspaces;
-  std::vector<std::vector<AlphaVector>> slots;
+  BackupWorkspace ws;
   for (int t = delta_r - 2; t >= 0; --t) {
     result.value_functions[static_cast<std::size_t>(t)] =
         backup(model, obs, result.value_functions[static_cast<std::size_t>(t + 1)],
-               both, 1.0, options, workspaces, slots);
+               1.0, ws);
     result.iterations++;
   }
   const double p_attack = model.params().p_attack;
@@ -382,18 +291,15 @@ IncrementalPruning::Result IncrementalPruning::solve_cycle(
 
 IncrementalPruning::Result IncrementalPruning::solve_discounted(
     const NodeModel& model, const ObservationModel& obs, double discount,
-    double tol, int max_iterations, const IpOptions& options) {
+    double tol, int max_iterations) {
   TOL_ENSURE(discount > 0.0 && discount < 1.0, "discount in (0,1)");
-  TOL_ENSURE(options.max_alpha >= 1, "max_alpha must be >= 1");
   Result result;
   std::vector<AlphaVector> value{{0.0, 0.0, NodeAction::Wait}};
-  const std::vector<NodeAction> both{NodeAction::Wait, NodeAction::Recover};
-  std::vector<BackupWorkspace> workspaces;
-  std::vector<std::vector<AlphaVector>> slots;
+  BackupWorkspace ws;
   result.converged = false;
   for (int it = 0; it < max_iterations; ++it) {
     const std::vector<AlphaVector> next =
-        backup(model, obs, value, both, discount, options, workspaces, slots);
+        backup(model, obs, value, discount, ws);
     ++result.iterations;
     // Convergence: max envelope change over a belief grid.
     double delta = 0.0;

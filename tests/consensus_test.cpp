@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "tolerance/consensus/minbft_cluster.hpp"
-#include "tolerance/consensus/minbft_workload.hpp"
 #include "tolerance/consensus/raft.hpp"
+#include "tolerance/oracles/minbft_workload.hpp"
 
 namespace tolerance::consensus {
 namespace {
@@ -238,13 +238,16 @@ TEST(MinBft, ThroughputDecreasesWithClusterSize) {
 // MinBFT: request batching and pipelined USIG signing
 // ---------------------------------------------------------------------------
 
+using oracles::logs_equivalent;
+using oracles::TaggedWorkloadResult;
+
 /// The shared tagged-workload driver (also behind the Fig. 10 CI gate),
 /// lifted to test expectations: a failed run is a test failure.
 TaggedWorkloadResult tagged_workload(const MinBftConfig& cfg, int n,
                                      int clients, int ops_each,
                                      std::uint64_t seed) {
   const auto result =
-      run_tagged_workload(cfg, n, clients, ops_each, seed, 4000000);
+      oracles::run_tagged_workload(cfg, n, clients, ops_each, seed, 4000000);
   EXPECT_EQ(result.error, "");
   return result;
 }
@@ -1069,6 +1072,44 @@ TEST(MinBftCommitRepair, LostCommitVotesHealInPlaceWithoutViewChange) {
     EXPECT_EQ(replica.view(), 0u) << "replica " << id;
     EXPECT_EQ(replica.committed_log_size(), 1u) << "replica " << id;
     EXPECT_EQ(replica.service().log().front(), "repair-w");
+  }
+}
+
+TEST(MinBftCommitRepair, DestroyedReplicaLeavesNoRepairTimerBehind) {
+  // Replica 4 signs its COMMIT, then loses every link: it sits on a
+  // self-voted entry short of quorum, so its repair clock is armed when the
+  // cluster evicts it and the caller destroys it.  The timer's callback
+  // captures the replica; if the destructor leaves it scheduled it fires
+  // into freed memory half a second later (a heap-use-after-free under
+  // ASan).
+  MinBftConfig cfg = fast_config(2);
+  cfg.commit_repair_timeout = 0.5;
+  MinBftCluster cluster(5, cfg, 41, fast_link());
+  // Only the leader reaches replica 4, so its PREPARE plus replica 4's own
+  // vote stay one short of the f + 1 = 3 commit quorum.
+  for (ReplicaId peer = 1; peer <= 3; ++peer) {
+    cluster.network().set_blocked(4, peer, true);
+  }
+  auto& client = cluster.add_client();
+  client.submit("w0", [](std::uint64_t, const std::string&, double) {});
+  const std::uint64_t counter_before = cluster.replica(4).usig_counter();
+  while (cluster.replica(4).usig_counter() == counter_before &&
+         cluster.network().step()) {
+  }
+  ASSERT_GT(cluster.replica(4).usig_counter(), counter_before)
+      << "replica 4 never signed its COMMIT";
+  cluster.network().set_blocked(4, 0, true);
+  cluster.run_for(0.1);
+  ASSERT_EQ(cluster.replica(4).committed_log_size(), 0u)
+      << "replica 4 reached quorum, so no repair timer was armed";
+
+  cluster.evict_and_detach(4).reset();
+  cluster.run_for(2.0);
+  const auto result = cluster.submit_and_run(client, "after-evict");
+  ASSERT_TRUE(result.has_value());
+  for (ReplicaId id = 0; id <= 3; ++id) {
+    EXPECT_EQ(cluster.replica(id).service().log().back(), "after-evict")
+        << "replica " << id;
   }
 }
 

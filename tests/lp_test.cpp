@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tolerance/lp/simplex.hpp"
+#include "tolerance/oracles/dense_simplex.hpp"
 #include "tolerance/util/rng.hpp"
 
 namespace tolerance::lp {
@@ -133,21 +134,17 @@ TEST(Simplex, RandomLpsSatisfyConstraints) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: sparse revised simplex vs dense tableau
+// Differential suite: sparse revised simplex vs the dense tableau oracle
 // ---------------------------------------------------------------------------
 
-SimplexSolver dense_solver() {
-  SimplexSolver::Options o;
-  o.dense_fallback = true;
-  return SimplexSolver(o);
-}
+using oracles::dense_simplex;
 
-/// Solve with both cores and cross-check: identical status, and on Optimal
+/// Solve with both solvers and cross-check: identical status, and on Optimal
 /// identical objectives (1e-8), a feasible point, and a warm re-solve from
 /// the revised core's own basis reproducing the optimum.
 void differential_check(const LinearProgram& lp, const char* tag, int trial) {
   const auto revised = SimplexSolver().solve(lp);
-  const auto dense = dense_solver().solve(lp);
+  const auto dense = dense_simplex(lp);
   ASSERT_EQ(revised.status, dense.status) << tag << " trial " << trial;
   if (revised.status != LpStatus::Optimal) return;
   const double scale = 1.0 + std::fabs(dense.objective);
@@ -285,7 +282,7 @@ TEST(SimplexWarmStart, PerturbedRhsReoptimizesViaDualSimplex) {
     LinearProgram tightened = lp;
     for (auto& con : tightened.constraints) con.rhs *= 0.8;
     const auto warm = SimplexSolver().solve(tightened, first.basis);
-    const auto cold = dense_solver().solve(tightened);
+    const auto cold = dense_simplex(tightened);
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     ASSERT_EQ(warm.status, LpStatus::Optimal);
     EXPECT_NEAR(warm.objective, cold.objective,
@@ -338,14 +335,14 @@ TEST(SimplexWarmStart, GarbageBasisDegradesToColdSolve) {
 }
 
 TEST(SimplexWarmStart, DenseBasisExportSeedsRevisedCore) {
-  // The dense core exports the shape-stable encoding: its basis must be
-  // directly consumable as a revised-core warm start.
+  // The dense oracle exports the shape-stable encoding: its basis must be
+  // directly consumable as a revised-simplex warm start.
   LinearProgram lp(3);
   lp.objective = {2.0, 3.0, 1.0};
   lp.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::GreaterEq, 4.0);
   lp.add_constraint({{0, 1.0}, {1, -1.0}}, Relation::LessEq, 2.0);
   lp.add_constraint({{2, 1.0}, {0, 0.5}}, Relation::Eq, 3.0);
-  const auto dense = dense_solver().solve(lp);
+  const auto dense = dense_simplex(lp);
   ASSERT_EQ(dense.status, LpStatus::Optimal);
   ASSERT_FALSE(dense.basis.empty());
   const auto warm = SimplexSolver().solve(lp, dense.basis);
@@ -366,8 +363,7 @@ TEST(SimplexOptions, BlandStallThresholdIsConfigurable) {
   lp.add_constraint({{1, 1.0}}, Relation::LessEq, 1.0);
   lp.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::LessEq, 2.0);
   for (bool dense : {false, true}) {
-    o.dense_fallback = dense;
-    const auto sol = SimplexSolver(o).solve(lp);
+    const auto sol = dense ? dense_simplex(lp, o) : SimplexSolver(o).solve(lp);
     ASSERT_EQ(sol.status, LpStatus::Optimal) << "dense=" << dense;
     EXPECT_NEAR(sol.objective, -2.0, 1e-9) << "dense=" << dense;
   }

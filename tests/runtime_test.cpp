@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "tolerance/consensus/minbft_runtime.hpp"
-#include "tolerance/consensus/minbft_workload.hpp"
+#include "tolerance/oracles/minbft_workload.hpp"
 #include "tolerance/net/async_runtime.hpp"
 #include "tolerance/net/profiles.hpp"
 #include "tolerance/net/wire.hpp"
@@ -742,14 +742,14 @@ TEST(NetworkProfile, LanWorkloadLogIsThreadCountInvariant) {
   cfg.view_change_timeout = 2.0;
   cfg.request_retry_timeout = 1.0;
   const auto run_once = [&]() {
-    return consensus::run_tagged_workload_link(
+    return oracles::run_tagged_workload_link(
         cfg, 3, 4, 6, 21, net::NetworkProfile::lan().replica_link);
   };
   const auto serial = run_once();
   ASSERT_EQ(serial.error, "");
   ASSERT_FALSE(serial.log.empty());
   util::ThreadPool pool(8);
-  std::vector<consensus::TaggedWorkloadResult> results(4);
+  std::vector<oracles::TaggedWorkloadResult> results(4);
   for (std::size_t i = 0; i < results.size(); ++i) {
     pool.submit([&, i]() { results[i] = run_once(); });
   }

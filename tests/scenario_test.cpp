@@ -428,6 +428,20 @@ TEST(ScenarioController, SlowSolveChurnHoldsWithoutFallback) {
   }
 }
 
+TEST(ScenarioController, LateEvictionSkipsTheConsensusRecovery) {
+  // Under this seed an eviction ordered past its budget executes before the
+  // cycle's local-recovery loop reaches the same node: its id has already
+  // left the membership.  The runner must skip that consensus recovery (the
+  // reconciliation step later in the cycle finalizes the eviction) rather
+  // than rebuild a replica outside the membership, which throws.
+  const Scenario& s = emulation::find_scenario("controller-slow-solve-churn");
+  ScenarioResult r;
+  ASSERT_NO_THROW(r = runner_for(s.name).run(175218));
+  EXPECT_GE(r.min_membership, scenario_floor(s));
+  EXPECT_GT(r.evictions, 0);
+  EXPECT_EQ(r.availability, 1.0);
+}
+
 TEST(ScenarioController, AsyncNoFaultMatchesInlineOnLegacyCatalog) {
   // Forcing the async controller onto a legacy (fault-free) scenario must
   // not change a single decision: scalars are equal and each async trace

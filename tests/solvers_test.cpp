@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "tolerance/oracles/dense_simplex.hpp"
+#include "tolerance/oracles/ip_reference.hpp"
 #include "tolerance/pomdp/assumptions.hpp"
 #include "tolerance/solvers/bayesopt.hpp"
 #include "tolerance/solvers/cem.hpp"
@@ -237,8 +240,8 @@ TEST(Prune, ParallelLinesKeepLowest) {
 }
 
 TEST(Prune, LpDominationAgreesWithHullSweep) {
-  // Cross-check mode: Lark's LP-domination pruning (running on the sparse
-  // revised simplex) must keep exactly the hull sweep's survivors.
+  // Lark's LP-domination pruning (the oracle, running on the sparse revised
+  // simplex) must keep exactly the hull sweep's survivors.
   Rng rng(515);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<AlphaVector> alphas;
@@ -249,7 +252,7 @@ TEST(Prune, LpDominationAgreesWithHullSweep) {
                                            : NodeAction::Recover});
     }
     const auto sweep = prune(alphas);
-    const auto lark = prune_lp(alphas);
+    const auto lark = oracles::prune_lp(alphas);
     ASSERT_EQ(sweep.size(), lark.size()) << "trial " << trial;
     // Same envelope either way.
     for (int g = 0; g <= 100; ++g) {
@@ -287,14 +290,12 @@ TEST(Prune, MaxAlphaCapIsConfigurable) {
 }
 
 TEST(IncrementalPruning, MergeBackupMatchesReferenceBackup) {
-  // The breakpoint-merge cross-sum must reproduce the pre-overhaul
-  // enumerate-and-prune backup: identical envelopes (the Fig. 4 alpha-set
+  // The breakpoint-merge cross-sum must reproduce the enumerate-and-prune
+  // backup of the oracle: identical envelopes (the Fig. 4 alpha-set
   // regression) at every stage of the cycle solve.
   const NodeModel model(paper_params());
   const auto obs = pomdp::BetaBinObservationModel::paper_default();
-  IpOptions reference;
-  reference.reference_backup = true;
-  const auto ref = IncrementalPruning::solve_cycle(model, obs, 40, reference);
+  const auto ref = oracles::solve_cycle_reference(model, obs, 40);
   const auto fast = IncrementalPruning::solve_cycle(model, obs, 40);
   ASSERT_EQ(ref.value_functions.size(), fast.value_functions.size());
   EXPECT_NEAR(ref.average_cost, fast.average_cost, 1e-12);
@@ -320,29 +321,6 @@ TEST(IncrementalPruning, Fig4AlphaSetRegressionPin) {
   EXPECT_NEAR(IncrementalPruning::recovery_threshold(result.value_functions[0]),
               0.278464678, 1e-6);
   EXPECT_EQ(result.value_functions[0].size(), 38u);
-}
-
-TEST(IpParallelRunner, BackupsBitIdenticalAcrossThreadCounts) {
-  const NodeModel model(paper_params());
-  const auto obs = pomdp::BetaBinObservationModel::paper_default();
-  IpOptions serial;
-  serial.threads = 1;
-  IpOptions parallel;
-  parallel.threads = 4;
-  const auto a = IncrementalPruning::solve_cycle(model, obs, 30, serial);
-  const auto b = IncrementalPruning::solve_cycle(model, obs, 30, parallel);
-  ASSERT_EQ(a.value_functions.size(), b.value_functions.size());
-  for (std::size_t t = 0; t < a.value_functions.size(); ++t) {
-    ASSERT_EQ(a.value_functions[t].size(), b.value_functions[t].size());
-    for (std::size_t i = 0; i < a.value_functions[t].size(); ++i) {
-      EXPECT_EQ(a.value_functions[t][i].v_healthy,
-                b.value_functions[t][i].v_healthy);
-      EXPECT_EQ(a.value_functions[t][i].v_compromised,
-                b.value_functions[t][i].v_compromised);
-      EXPECT_EQ(static_cast<int>(a.value_functions[t][i].action),
-                static_cast<int>(b.value_functions[t][i].action));
-    }
-  }
 }
 
 TEST(IncrementalPruning, RecoveryThresholdMatchesGridScanOracle) {
@@ -495,18 +473,25 @@ TEST(CmdpLp, WarmStartReusesPreviousBasis) {
   EXPECT_GE(swept.availability, 0.93 - 1e-6);
 }
 
-TEST(CmdpLp, DenseFallbackAgreesWithRevisedCore) {
+TEST(CmdpLp, DenseOracleAgreesWithRevisedCore) {
   for (const int smax : {8, 13, 24}) {
     const auto cmdp = pomdp::SystemCmdp::parametric(smax, 3, 0.9, 0.95, 0.3);
-    lp::SimplexSolver::Options dense;
-    dense.dense_fallback = true;
-    const auto a = solve_replication_lp(cmdp, dense);
+    const auto a = oracles::dense_simplex(replication_lp(cmdp));
     const auto b = solve_replication_lp(cmdp);
     ASSERT_EQ(a.status, lp::LpStatus::Optimal) << "smax=" << smax;
     ASSERT_EQ(b.status, lp::LpStatus::Optimal) << "smax=" << smax;
-    EXPECT_NEAR(a.average_cost, b.average_cost, 1e-8 * (1.0 + a.average_cost))
+    EXPECT_NEAR(a.objective, b.average_cost, 1e-8 * (1.0 + a.objective))
         << "smax=" << smax;
-    EXPECT_NEAR(a.availability, b.availability, 1e-6) << "smax=" << smax;
+    // rho(s, a) sits at index 2*s + a.
+    double availability = 0.0;
+    for (int s = 0; s < cmdp.num_states(); ++s) {
+      if (!cmdp.available(s)) continue;
+      for (int act = 0; act < 2; ++act) {
+        availability +=
+            std::max(0.0, a.x[static_cast<std::size_t>(2 * s + act)]);
+      }
+    }
+    EXPECT_NEAR(availability, b.availability, 1e-6) << "smax=" << smax;
   }
 }
 
