@@ -18,9 +18,9 @@ Four kinds of checks, matched to what each lane can promise:
 
 * BENCH_runtime.json comes from the wall-clock lane and is load/noise
   dependent, so no numeric pinning: its own embedded gates (zero decode/
-  handler/auth errors, committed-log agreement, sim-lane equivalence, the
-  WAN improvement gate and the LAN regression guard) must all be true, and
-  the sweep must cover the expected (profile, n) grid.
+  handler/auth errors, committed-log agreement, sim-lane equivalence and
+  the LAN regression guard) must all be true, and the sweep must cover the
+  expected (profile, n) grid.
 
 * BENCH_overload.json comes from the admission-control sweep (simulated
   time, so deterministic): every valve-on flood cell must keep admitted
@@ -243,8 +243,7 @@ def check_chaos(fresh):
 def check_runtime(fresh):
     errors = 0
     gates = fresh.get("gates", {})
-    for key in ("cells_ok", "logs_ok", "sim_equivalence_ok", "gain_ok",
-                "wan_gain_ok", "ok"):
+    for key in ("cells_ok", "logs_ok", "sim_equivalence_ok", "gain_ok", "ok"):
         if gates.get(key) is not True:
             errors += fail(f"runtime gate {key!r} is {gates.get(key)!r}")
     seen = set()

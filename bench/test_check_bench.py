@@ -287,5 +287,35 @@ class CheckChaosTest(unittest.TestCase):
         self.assertEqual(check_bench.check_chaos(doc), 1)
 
 
+def runtime_doc(**gate_overrides):
+    gates = {"cells_ok": True, "logs_ok": True, "sim_equivalence_ok": True,
+             "lan7_gain": 0.98, "gain_ok": True, "ok": True}
+    gates.update(gate_overrides)
+    return {
+        "gates": gates,
+        "sweep": [{"profile": p, "n": n, "logs_valid": True}
+                  for p, n in sorted(check_bench.EXPECTED_RUNTIME_GRID)],
+    }
+
+
+class CheckRuntimeTest(unittest.TestCase):
+    def test_healthy_sweep_passes_without_a_wan_gate(self):
+        self.assertEqual(check_bench.check_runtime(runtime_doc()), 0)
+
+    def test_lan_regression_guard_fails(self):
+        doc = runtime_doc(gain_ok=False, ok=False)
+        self.assertEqual(check_bench.check_runtime(doc), 2)
+
+    def test_cell_errors_fail(self):
+        doc = runtime_doc()
+        doc["sweep"][0]["fast_auth_failures"] = 1
+        self.assertEqual(check_bench.check_runtime(doc), 1)
+
+    def test_missing_cell_fails(self):
+        doc = runtime_doc()
+        doc["sweep"] = doc["sweep"][1:]
+        self.assertEqual(check_bench.check_runtime(doc), 1)
+
+
 if __name__ == "__main__":
     unittest.main()

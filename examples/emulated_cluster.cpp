@@ -74,7 +74,7 @@ int main() {
             << cluster.submit_and_run(client, "x=2").value() << "\n";
   cluster.recover_replica(2);  // what a node controller triggers (Fig. 17d)
   std::cout << "  replica 2 recovered, state size "
-            << cluster.replica(2).executed_count() << "\n";
+            << cluster.replica(2).committed_log_size() << "\n";
   cluster.crash_replica(0);  // leader crash => view change (Fig. 17b)
   std::optional<std::string> after;
   client.submit("x=3", [&](std::uint64_t, const std::string& r, double) {

@@ -44,15 +44,6 @@ struct AdmissionConfig {
   /// golden traces or benches unless a scenario asks for it.
   bool enabled = false;
 
-  // --- pressure weights (should sum to ~1; they are not renormalized) ------
-  double w_queue = 0.5;    ///< W_Q, weight of normalized queue depth
-  double w_latency = 0.3;  ///< W_L, weight of normalized oldest-request wait
-  double w_error = 0.2;    ///< W_E, weight of the retry/error fraction
-
-  /// EWMA smoothing factor in (0, 1]: weight of the newest sample when
-  /// pressure is RISING.  Attack is per-observation: a spike must close the
-  /// valve within a handful of arrivals.
-  double ewma_alpha = 0.3;
   /// Release time constant (seconds) when pressure is FALLING.  Release is
   /// on the clock, not per-observation: under a sustained storm the inbound
   /// queue oscillates between full and drained as the replica alternates

@@ -22,10 +22,11 @@ class MinBftClient {
       std::function<void(std::uint64_t request_id, const std::string& result,
                          double latency_seconds)>;
 
+  /// The trailing double is ignored; perfbench's service workload passes it.
   MinBftClient(ClientId id, int f, std::vector<ReplicaId> replicas,
                MinBftTransport& net, std::shared_ptr<crypto::KeyRegistry> registry,
                std::uint64_t key_seed, double retry_timeout = 30.0,
-               double spec_fallback_timeout = 0.0);
+               double = 0.0);
 
   ClientId id() const { return id_; }
 
@@ -48,13 +49,6 @@ class MinBftClient {
   void on_message(net::NodeId from, const MinBftMsg& msg);
 
   std::uint64_t completed_count() const { return completed_; }
-  /// Requests completed via the speculative fast path: ALL n replicas
-  /// returned matching tentative replies (any weaker quorum of speculative
-  /// replies proves nothing — up to f of them may roll back).  Final-reply
-  /// completions still require only f+1 matches.
-  std::uint64_t completed_speculative_count() const {
-    return completed_speculative_;
-  }
 
   // Overload-backoff telemetry (tests and the overload scenarios).
   /// Signed Overloaded rejections accepted (after signature verification).
@@ -80,18 +74,9 @@ class MinBftClient {
   struct Pending {
     Request request;
     std::map<std::string, std::set<ReplicaId>> votes;  // result -> replicas
-    /// Speculative replies tallied separately: tentative and final replies
-    /// for one request never mix into one quorum.
-    std::map<std::string, std::set<ReplicaId>> spec_votes;
     CompletionHandler on_complete;
     double submitted_at = 0.0;
     std::uint64_t retry_timer = 0;
-    /// One-shot early retransmission armed at the first speculative reply:
-    /// if the all-n quorum has not closed by then (a reply was lost or a
-    /// replica lags), the retransmission makes replicas resend from their
-    /// reply caches — FINAL once committed, completing via the f+1 rule.
-    std::uint64_t spec_fallback_timer = 0;
-    bool spec_fallback_armed = false;
     // --- overload-backoff state -------------------------------------------
     /// Distinct replicas that rejected this request with a (verified)
     /// Overloaded.  Backoff requires f+1 of them: at least one is honest,
@@ -119,10 +104,6 @@ class MinBftClient {
   /// [0.5, 1.5) draw from this client's private Rng stream so storms
   /// desynchronize instead of re-arriving in lockstep.
   void schedule_backoff(std::uint64_t request_id);
-  /// True when every one of the n replicas vouched for `result` — counting a
-  /// tentative (speculative) reply and a committed (final) one alike, since
-  /// a final is the stronger claim.
-  bool all_n_vouched(const Pending& pending, const std::string& result) const;
 
   ClientId id_;
   int f_;
@@ -131,10 +112,8 @@ class MinBftClient {
   std::shared_ptr<crypto::KeyRegistry> registry_;
   crypto::Signer signer_;
   double retry_timeout_;
-  double spec_fallback_timeout_;
   std::uint64_t next_request_id_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t completed_speculative_ = 0;
   std::uint64_t overloaded_replies_ = 0;
   std::uint64_t overload_backoffs_ = 0;
   double last_backoff_delay_ = 0.0;

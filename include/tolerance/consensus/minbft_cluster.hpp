@@ -50,7 +50,7 @@ class MinBftCluster {
   /// same flows as join_new_replica / evict_replica, but with a bounded
   /// event budget and a failure return instead of an abort when consensus
   /// cannot order the operation this cycle (e.g. more than f of the live
-  /// replicas are silent).  A failed join is rolled back (the speculative
+  /// replicas are silent).  A failed join is rolled back (the provisional
   /// replica is unwired and the request abandoned); if the operation was
   /// already prepared and executes later, the resulting memberless ghost id
   /// is visible via membership() and can be evicted then.

@@ -130,12 +130,6 @@ struct Reply {
   ClientId client = 0;
   std::uint64_t request_id = 0;
   std::string result;
-  /// Tentative result, sent at PREPARE before the commit quorum (the
-  /// Zyzzyva-style fast path).  A client acts on it only when ALL n replicas
-  /// return matching speculative replies; the final (speculative = false)
-  /// reply follows once the batch commits.  The flag is part of payload(),
-  /// so a speculative reply cannot be replayed as a final one.
-  bool speculative = false;
   crypto::Signature signature;
 
   std::string payload() const;

@@ -96,22 +96,6 @@ struct MinBftConfig {
   /// pipeline window is full (at most one over-the-window batch per timeout
   /// period) — bounds pending-request latency when execution stalls.
   double batch_timeout = 0.05;
-  /// Speculative execution (the Zyzzyva-style fast path): execute a batch
-  /// tentatively as soon as its PREPARE verifies — before the commit quorum
-  /// — and reply with the speculative flag set.  Clients act on a
-  /// speculative result only when ALL n replicas return matching tentative
-  /// replies; a view change rolls uncommitted speculative state back to the
-  /// committed prefix and the re-proposed entries re-execute.  Entries
-  /// carrying join:/evict: operations never execute speculatively
-  /// (membership changes are not rolled back).
-  bool speculative = false;
-  /// Client-side safety valve for the speculative fast path: once a request
-  /// has gathered at least one speculative reply without completing, wait
-  /// this long, then retransmit once.  Replicas answer retransmissions from
-  /// their reply cache (FINAL once the entry committed), so a client whose
-  /// speculative quorum was spoiled by one lost reply recovers in a round
-  /// trip instead of a full request_retry_timeout.  0 disables the valve.
-  double spec_fallback_timeout = 0.0;
   /// Sim-lane model of the wall-clock lane's outbound authenticator
   /// batching: when > 0, cpu_cost_per_send is charged per destination at
   /// most once per this many (simulated) seconds — one MAC covers every
@@ -178,9 +162,10 @@ class MinBftReplica {
                 std::shared_ptr<crypto::KeyRegistry> registry,
                 std::uint64_t key_seed, std::uint64_t usig_epoch = 0);
 
-  /// Cancels any pending view-change / batch timer: the timer callbacks
-  /// capture `this`, so a replica destroyed mid-run (evicted or recovered by
-  /// the system controller) must not leave one armed in the network queue.
+  /// Cancels every armed timer (view change, batch, state transfer, commit
+  /// repair, PREPARE-fetch grace): the timer callbacks capture `this`, so a
+  /// replica destroyed mid-run (evicted or recovered by the system
+  /// controller) must not leave one armed in the network queue.
   ~MinBftReplica();
 
   MinBftReplica(const MinBftReplica&) = delete;
@@ -203,9 +188,6 @@ class MinBftReplica {
 
   /// Ask peers for the current state (recovery / join, Fig. 17 d-e).
   void request_state_transfer();
-
-  /// Number of executed operations (for tests/benches).
-  std::size_t executed_count() const { return service_.log().size(); }
 
   /// This replica's USIG state (for tests: proves a detached replica really
   /// certified fresh counters that were then rejected by members).
@@ -235,13 +217,8 @@ class MinBftReplica {
     admission_ = AdmissionController(cfg);
   }
 
-  // Speculative-execution telemetry (tests and the runtime bench).
-  std::uint64_t spec_executions() const { return spec_executions_; }
-  std::uint64_t spec_rollbacks() const { return spec_rollbacks_; }
-  SeqNum last_speculated() const { return last_speculated_; }
-  /// The commit-quorum-backed prefix length of service().log(); anything
-  /// beyond it is speculative and may still roll back.
-  std::size_t committed_log_size() const { return committed_log_size_; }
+  /// Operations in service().log(); every one of them is committed.
+  std::size_t committed_log_size() const { return service_.log().size(); }
 
   // State-transfer retry telemetry (the chaos lane's recovery gates).
   std::uint64_t state_transfer_attempts() const { return st_attempts_; }
@@ -275,21 +252,6 @@ class MinBftReplica {
     Prepare prepare;
     std::set<ReplicaId> commits;  ///< distinct committers (incl. leader)
     bool executed = false;
-    // --- speculative-execution bookkeeping --------------------------------
-    /// Tentatively applied to the service before the commit quorum.
-    bool spec_executed = false;
-    /// Per-request results recorded at speculative execution; at commit the
-    /// reply cache flips to FINAL without re-execution (and without a second
-    /// reply — replicas reply once, Zyzzyva-style).  Empty string = the
-    /// request was a duplicate and was skipped.
-    std::vector<std::string> spec_results;
-    /// (client, request_id) keys THIS entry inserted into
-    /// executed_requests_ — exactly what a rollback must erase.
-    std::vector<std::pair<ClientId, std::uint64_t>> spec_applied;
-    /// Service state right after this entry applied; becomes the committed
-    /// snapshot when the entry commits (checkpoints and rollbacks use it).
-    std::size_t post_log_size = 0;
-    crypto::Digest post_digest{};
     /// Last time we echoed our commit vote in response to a duplicate
     /// (repair nudge).  Echoes are capped at one per repair window per
     /// entry: two replicas each missing a THIRD party's vote would
@@ -374,24 +336,8 @@ class MinBftReplica {
   /// when the new leader appends its own proof at assembly time.
   ViewChange make_view_change(View to_view);
   void try_execute();
-  void execute_entry(PendingEntry& entry);
-  /// Advance the speculative frontier: tentatively execute contiguous logged
-  /// entries above it that have no commit quorum yet, sending speculative
-  /// replies.  Stops at reconfiguration batches (never speculated).
-  void try_speculate();
-  /// Apply one entry tentatively: service execution + speculative replies,
-  /// with enough bookkeeping recorded to undo it (spec_applied) or finalize
-  /// it without re-execution (spec_results).
-  void speculate_entry(PendingEntry& entry);
-  /// Final replies for an entry that already executed speculatively: replay
-  /// the recorded results, touch nothing in the service.
-  void confirm_entry(PendingEntry& entry);
-  /// Undo every speculatively-executed, uncommitted entry: erase its
-  /// executed_requests_ keys and truncate the service back to the committed
-  /// prefix.  Called before a view installs or a state transfer lands —
-  /// the re-proposed entries then re-execute from the committed state.
-  void rollback_speculation();
-  void send_reply(const Request& req, std::string result, bool speculative);
+  void execute_entry(const PendingEntry& entry);
+  void send_reply(const Request& req, std::string result);
   /// The admission gate's verdict on one arriving request.
   enum class AdmissionOutcome {
     kAdmit,      ///< proceed to verification / enqueue
@@ -409,8 +355,6 @@ class MinBftReplica {
   /// queue* input: leader backlog + unexecuted in-flight batch requests +
   /// the transport's undelivered inbound queue for this node.
   double queue_signal() const;
-  /// True if any request in the batch is a join:/evict: operation.
-  static bool has_reconfiguration(const Prepare& p);
   void apply_reconfiguration(const std::string& op);
   void emit_checkpoint();
   void garbage_collect(SeqNum stable);
@@ -464,17 +408,6 @@ class MinBftReplica {
   View view_ = 0;
   SeqNum last_executed_ = 0;      ///< highest contiguously executed seq
   SeqNum stable_checkpoint_ = 0;
-  /// Highest contiguously (speculatively or finally) executed seq; always
-  /// >= last_executed_.  Entries in (last_executed_, last_speculated_] hold
-  /// tentative state that a view change rolls back.
-  SeqNum last_speculated_ = 0;
-  /// The service prefix backed by a commit quorum: what checkpoints digest,
-  /// state transfers ship, and rollbacks truncate to.  Equals the full
-  /// service state whenever no speculative entry is outstanding.
-  std::size_t committed_log_size_ = 0;
-  crypto::Digest committed_digest_{};
-  std::uint64_t spec_executions_ = 0;
-  std::uint64_t spec_rollbacks_ = 0;
   /// Sim-lane MAC batching model: last simulated time cpu_cost_per_send was
   /// charged per destination (see MinBftConfig::mac_flush_window).
   std::map<ReplicaId, double> last_mac_charge_;
@@ -486,6 +419,11 @@ class MinBftReplica {
   /// fetch a relay of it from a committer (see handle_commit).
   std::map<SeqNum, std::map<ReplicaId, crypto::Digest>> early_commits_;
   std::set<SeqNum> fetched_;  ///< seqs we already sent a FetchPrepare for
+  /// Armed PREPARE-fetch grace timers by private token.  Their callbacks
+  /// capture `this`, so the destructor cancels whatever is still armed; a
+  /// timer drops its own entry when it fires.
+  std::map<std::uint64_t, std::uint64_t> grace_timers_;
+  std::uint64_t next_grace_token_ = 0;
   /// Last accepted (usig epoch, counter) per replica — FIFO ordering and
   /// replay protection across recoveries.
   std::map<ReplicaId, std::pair<std::uint64_t, std::uint64_t>> last_counter_;
@@ -514,21 +452,11 @@ class MinBftReplica {
   /// sign/verify load exactly when there is none to spare, and that
   /// feedback loop can turn a survivable overload into a collapse.
   SeqNum repair_snapshot_ = 0;
-  /// Last reply per client, kept so a retransmitted request can be answered
-  /// from cache instead of silently dropped (the liveness path for lost
-  /// replies — essential under speculation, where a spec-executed entry's
-  /// commit sends no second reply).  `committed` flips at the commit quorum;
-  /// a cached resend is re-signed with the current status.
-  struct CachedReply {
-    std::uint64_t request_id = 0;
-    /// The reply exactly as last signed and sent (flag + signature).  A
-    /// retransmission resends these bytes verbatim — re-signing only when
-    /// `committed` has flipped since, so serving a lagging client costs a
-    /// signature at most once per status change, not once per probe.
-    Reply reply;
-    bool committed = false;  ///< current status (may be newer than the flag)
-  };
-  std::map<ClientId, CachedReply> reply_cache_;
+  /// Last reply per client, exactly as signed and sent, so a retransmitted
+  /// request that already executed is answered from cache instead of
+  /// silently dropped (the liveness path for lost replies).  The resend
+  /// reuses the signature: serving a lagging client costs no crypto.
+  std::map<ClientId, Reply> reply_cache_;
   /// Digest votes / stored responses for the LIVE transfer cycle only.  One
   /// vote per member (a replica's newest response supersedes its older one),
   /// so both maps are bounded by the membership size; finish_state_transfer

@@ -48,12 +48,9 @@ struct RuntimeLoadStats {
   std::uint64_t decode_errors = 0;   ///< malformed frames (should be 0)
   std::uint64_t handler_errors = 0;  ///< handler exceptions (should be 0)
   std::uint64_t auth_failures = 0;   ///< bundle-tag rejections (should be 0)
-  // Fast-path accounting (MAC batching + speculative execution).
+  // MAC-batching accounting.
   std::uint64_t macs_computed = 0;   ///< bundle authenticators at senders
   std::uint64_t bundled_frames = 0;  ///< frames those authenticators covered
-  std::uint64_t completed_speculative = 0;  ///< n-of-n fast-path completions
-  std::uint64_t spec_executions = 0;        ///< entries executed at PREPARE
-  std::uint64_t spec_rollbacks = 0;         ///< speculative undo events
   // Chaos-lane accounting (all zero on a fault-free run).
   std::uint64_t crashes = 0;              ///< crash_replica invocations
   std::uint64_t restarts = 0;             ///< restart_replica invocations

@@ -90,10 +90,6 @@ struct AsyncControllerConfig {
   /// Verify the warm==cold optimum invariant on the first warm-started
   /// background re-solve (runs one extra cold solve on the worker).
   bool verify_warm_optimum = true;
-  double warm_optimum_tolerance = 1e-7;
-  /// Fallback threshold when the published table carries no Thm. 2
-  /// decomposition (beta1 == beta2 == -1): add iff s <= this.
-  int fallback_add_threshold = 1;
 };
 
 /// Decision-path view of one policy query (wait-free; see policy_at).

@@ -79,11 +79,6 @@ struct ScenarioResult {
 bool identical(const ScenarioResult& a, const ScenarioResult& b);
 
 struct ScenarioOptions {
-  /// Simulated seconds per control cycle (the paper's 60 s time-step);
-  /// also the probe deadline.
-  double cycle_seconds = 60.0;
-  /// Network-event budget for one consensus-ordered membership operation.
-  std::size_t membership_event_budget = 120000;
   bool record_trace = true;
   /// Consensus batching knobs, forwarded to MinBftConfig: requests bound to
   /// one USIG counter and sealed-but-unexecuted batches in flight.  The

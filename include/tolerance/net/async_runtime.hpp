@@ -83,20 +83,11 @@ class AsyncRuntime final : public Transport<Msg> {
     NodeId client_floor = 10000;
     /// Inbound frame queue capacity per node (drop-oldest beyond).
     std::size_t inbound_capacity = 4096;
-    /// Honor consume_cpu by burning real CPU on the calling loop.  Off by
-    /// default: the wall-clock lane measures the real crypto the node
-    /// actually performs, not the sim lane's modelled costs.
-    bool honor_cpu_costs = false;
     /// Outbound authenticator-batching window in seconds.  0 ships every
     /// message as its own authenticated bundle (one HMAC per message);
     /// > 0 coalesces frames per destination for up to this long so one
     /// HMAC-SHA256 tag covers the whole flush.
     double flush_window = 0.0;
-    /// Size trigger for the coalescing window: a buffered bundle that
-    /// reaches this many frames ships immediately instead of waiting out
-    /// the window, so a high-rate pair pays amortized MACs without the
-    /// full window's latency tax.
-    std::size_t flush_max_frames = 16;
     std::uint64_t seed = 1;  ///< loss/jitter/reorder draws + link keys
   };
 
@@ -220,20 +211,9 @@ class AsyncRuntime final : public Transport<Msg> {
     if (live_timers_.count(timer_id) > 0) cancelled_.insert(timer_id);
   }
 
-  /// The wall-clock lane's nodes burn real CPU; the modelled cost is only
-  /// honored when the runtime is configured to emulate slower hardware.
-  void consume_cpu(NodeId node, double seconds) override {
-    (void)node;
-    if (!options_.honor_cpu_costs || seconds <= 0.0) return;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds));
-    while (std::chrono::steady_clock::now() < deadline) {
-      // Busy-wait: the node's loop thread is genuinely occupied, which is
-      // the semantics consume_cpu models.
-    }
-  }
+  /// The wall-clock lane's nodes burn real CPU, so the sim lane's modelled
+  /// cost is ignored here.
+  void consume_cpu(NodeId, double) override {}
 
   // --- runtime-specific surface --------------------------------------------
 
@@ -513,7 +493,7 @@ class AsyncRuntime final : public Transport<Msg> {
       }
       if (!ship_now) {
         pair.queued.push_back(std::move(bytes));
-        if (pair.queued.size() >= options_.flush_max_frames) {
+        if (pair.queued.size() >= kFlushMaxFrames) {
           // Full bundle: ship at once.  A pending flush timer (if armed)
           // finds an empty queue and no-ops.
           full.swap(pair.queued);
@@ -818,6 +798,11 @@ class AsyncRuntime final : public Transport<Msg> {
   }
 
   static constexpr int kDrainBurst = 64;
+  /// Size trigger for the coalescing window: a buffered bundle that reaches
+  /// this many frames ships immediately instead of waiting out the window,
+  /// so a high-rate pair pays amortized MACs without the full window's
+  /// latency tax.
+  static constexpr std::size_t kFlushMaxFrames = 16;
 
   util::ThreadPool* pool_;
   Options options_;

@@ -57,8 +57,8 @@ class Transport {
 
   /// Account CPU time on a node (e.g. a signature).  The sim backend
   /// serializes subsequent deliveries/sends behind the busy window; the
-  /// async backend's nodes burn real CPU instead and treat the modelled
-  /// cost as documentation (unless configured to honor it).
+  /// async backend's nodes burn real CPU instead and ignore the modelled
+  /// cost.
   virtual void consume_cpu(NodeId node, double seconds) = 0;
 
   /// Undelivered inbound messages currently queued for `node` — the

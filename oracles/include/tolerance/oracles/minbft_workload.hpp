@@ -1,5 +1,5 @@
 // Closed-loop tagged workload and log-equivalence definition for the
-// consensus differential gates: batched vs unbatched and speculative vs
+// consensus differential gates: batched vs unbatched and MAC-flush-window vs
 // baseline clusters must commit equivalent logs.  The consensus and runtime
 // tests and the Fig. 10 bench all consume this one implementation, so they
 // agree on what "identical operation logs" means.

@@ -7,6 +7,16 @@ namespace {
 
 double clip01(double v) { return std::clamp(v, 0.0, 1.0); }
 
+/// Pressure weights W_Q, W_L, W_E of queue*, lat* and err*.  They sum to 1,
+/// so P needs no renormalization.
+constexpr double kQueueWeight = 0.5;
+constexpr double kLatencyWeight = 0.3;
+constexpr double kErrorWeight = 0.2;
+/// EWMA weight of the newest sample while pressure is RISING.  Attack is
+/// per-observation: a spike must close the valve within a handful of
+/// arrivals.
+constexpr double kAttackAlpha = 0.3;
+
 }  // namespace
 
 const char* to_string(AdmissionMode mode) {
@@ -43,16 +53,15 @@ void AdmissionController::update(double now, double queue_depth,
   window_requests_ = 0;
   window_retries_ = 0;
 
-  const double raw = clip01(config_.w_queue * queue_norm +
-                            config_.w_latency * lat_norm +
-                            config_.w_error * err_norm);
+  const double raw = clip01(kQueueWeight * queue_norm +
+                            kLatencyWeight * lat_norm +
+                            kErrorWeight * err_norm);
   if (!seeded_) {
     pressure_ = raw;
     seeded_ = true;
   } else if (raw >= pressure_) {
     // Attack: per-observation EWMA so a spike closes the valve fast.
-    const double a = std::clamp(config_.ewma_alpha, 0.0, 1.0);
-    pressure_ = a * raw + (1.0 - a) * pressure_;
+    pressure_ = kAttackAlpha * raw + (1.0 - kAttackAlpha) * pressure_;
   } else {
     // Release: exponential decay toward the sample on the CLOCK, so the
     // momentary queue troughs of a saturated replica (drain, serve, refill)

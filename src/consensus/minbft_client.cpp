@@ -32,12 +32,11 @@ MinBftClient::MinBftClient(ClientId id, int f, std::vector<ReplicaId> replicas,
                            MinBftTransport& net,
                            std::shared_ptr<crypto::KeyRegistry> registry,
                            std::uint64_t key_seed, double retry_timeout,
-                           double spec_fallback_timeout)
+                           double)
     : id_(id), f_(f), replicas_(std::move(replicas)), net_(&net),
       registry_(std::move(registry)),
       signer_(id, registry_->register_principal(id, key_seed)),
       retry_timeout_(retry_timeout),
-      spec_fallback_timeout_(spec_fallback_timeout),
       rng_(Rng::stream(key_seed ^ kJitterSalt, id)) {
   TOL_ENSURE(f_ >= 0, "f must be non-negative");
   TOL_ENSURE(!replicas_.empty(), "need at least one replica");
@@ -76,7 +75,6 @@ void MinBftClient::cancel(std::uint64_t request_id) {
   const auto it = pending_.find(request_id);
   if (it == pending_.end()) return;
   net_->cancel(it->second.retry_timer);
-  net_->cancel(it->second.spec_fallback_timer);
   pending_.erase(it);
 }
 
@@ -90,20 +88,6 @@ void MinBftClient::arm_retry(std::uint64_t request_id, double delay) {
     transmit(p->second.request);      // Texec retransmission (Table 8)
     arm_retry(request_id);
   });
-}
-
-bool MinBftClient::all_n_vouched(const Pending& pending,
-                                 const std::string& result) const {
-  std::set<ReplicaId> vouched;
-  const auto sv = pending.spec_votes.find(result);
-  if (sv != pending.spec_votes.end()) {
-    vouched.insert(sv->second.begin(), sv->second.end());
-  }
-  const auto fv = pending.votes.find(result);
-  if (fv != pending.votes.end()) {
-    vouched.insert(fv->second.begin(), fv->second.end());
-  }
-  return vouched.size() >= replicas_.size();
 }
 
 void MinBftClient::handle_overloaded(const Overloaded& ov) {
@@ -186,76 +170,12 @@ void MinBftClient::on_message(net::NodeId, const MinBftMsg& msg) {
   if (it == pending_.end()) return;
   net_->consume_cpu(id_, crypto::KeyRegistry::kVerifyCost);
   if (!registry_->verify(reply->payload(), reply->signature)) return;
-  bool complete = false;
-  if (reply->speculative) {
-    // Fast path: a tentative result is safe only when every one of the n
-    // replicas vouches for it — then any future view-change quorum (f+1
-    // proofs) contains at least one honest replica still carrying the
-    // prepared entry, so the operation is re-proposed at the same sequence
-    // number instead of rolling back for good.  A FINAL reply is a strictly
-    // stronger vouch (the entry is committed at that replica), so the all-n
-    // count merges both kinds per result.
-    auto& votes = it->second.spec_votes[reply->result];
-    votes.insert(reply->replica);
-    complete = all_n_vouched(it->second, reply->result);
-    if (complete) ++completed_speculative_;
-    if (!complete && !it->second.spec_fallback_armed &&
-        spec_fallback_timeout_ > 0.0) {
-      // The quorum is open but not closed; if it does not close quickly,
-      // retransmit once — replicas re-reply from cache (FINAL after the
-      // commit), so the f+1 rule finishes the request without waiting out
-      // the full retry timeout.
-      it->second.spec_fallback_armed = true;
-      const std::uint64_t rid = reply->request_id;
-      it->second.spec_fallback_timer =
-          net_->schedule(id_, spec_fallback_timeout_, [this, rid]() {
-            const auto p = pending_.find(rid);
-            if (p == pending_.end()) return;
-            // Two jobs, neither a full broadcast (which would make all n
-            // replicas re-serve their caches at the exact moment the
-            // cluster is struggling): (a) nudge the replicas that never
-            // answered — maybe the reply was lost; (b) re-ask f+1 of the
-            // replicas that DID answer, because a straggler that missed
-            // its PREPARE cannot answer at all, and with replies
-            // suppressed after the tentative send, only a re-ask makes
-            // committed replicas come back FINAL so the f+1 rule can
-            // finish the request without the all-n quorum.
-            std::set<ReplicaId> heard;
-            for (const auto& [result, ids] : p->second.spec_votes) {
-              heard.insert(ids.begin(), ids.end());
-            }
-            for (const auto& [result, ids] : p->second.votes) {
-              heard.insert(ids.begin(), ids.end());
-            }
-            for (ReplicaId r : replicas_) {
-              if (heard.count(r) == 0) {
-                net_->send(id_, r, MinBftMsg{p->second.request});
-              }
-            }
-            int asked = 0;
-            for (ReplicaId r : heard) {
-              if (asked >= f_ + 1) break;
-              net_->send(id_, r, MinBftMsg{p->second.request});
-              ++asked;
-            }
-          });
-    }
-  } else {
-    auto& votes = it->second.votes[reply->result];
-    votes.insert(reply->replica);
-    complete = static_cast<int>(votes.size()) >= f_ + 1;
-    if (!complete && all_n_vouched(it->second, reply->result)) {
-      // The final reply closed an all-n tentative quorum that was one
-      // vouch short — still the fast path from the client's point of view.
-      complete = true;
-      ++completed_speculative_;
-    }
-  }
-  if (complete) {
+  auto& votes = it->second.votes[reply->result];
+  votes.insert(reply->replica);
+  if (static_cast<int>(votes.size()) >= f_ + 1) {
     const double latency = net_->now() - it->second.submitted_at;
     ++completed_;
     net_->cancel(it->second.retry_timer);
-    net_->cancel(it->second.spec_fallback_timer);
     auto handler = std::move(it->second.on_complete);
     const std::string result = reply->result;
     const std::uint64_t rid = reply->request_id;

@@ -20,7 +20,7 @@ MinBftCluster::MinBftCluster(int num_replicas, MinBftConfig config,
   for (ReplicaId id : membership) wire_replica(id, membership);
   controller_client_ = std::make_unique<MinBftClient>(
       9999, config_.f, membership, net_, registry_, seed ^ 0x9999,
-      config_.request_retry_timeout, config_.spec_fallback_timeout);
+      config_.request_retry_timeout);
   net_.register_host(9999, [this](net::NodeId from, const MinBftMsg& m) {
     controller_client_->on_message(from, m);
   });
@@ -82,7 +82,7 @@ MinBftClient& MinBftCluster::add_client(double retry_timeout) {
   const ClientId id = next_client_id_++;
   auto client = std::make_unique<MinBftClient>(
       id, config_.f, current_membership(), net_, registry_, seed_ ^ id,
-      retry_timeout, config_.spec_fallback_timeout);
+      retry_timeout);
   MinBftClient* raw = client.get();
   net_.register_host(id, [raw](net::NodeId from, const MinBftMsg& m) {
     raw->on_message(from, m);
@@ -161,7 +161,7 @@ std::optional<ReplicaId> MinBftCluster::try_join_new_replica(
   std::ostringstream op;
   op << "join:" << id;
   if (!order_with_budget(op.str(), max_events)) {
-    // Roll back the speculative wiring; the id is burned, never reused.
+    // Undo the provisional wiring; the id is burned, never reused.
     net_.unregister_host(id);
     replicas_.erase(id);
     return std::nullopt;

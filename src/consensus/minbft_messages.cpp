@@ -89,8 +89,7 @@ crypto::Digest Commit::body_digest() const {
 
 std::string Reply::payload() const {
   return "reply|" + std::to_string(replica) + '|' + std::to_string(client) +
-         '|' + std::to_string(request_id) + '|' + result + '|' +
-         (speculative ? "spec" : "final");
+         '|' + std::to_string(request_id) + '|' + result;
 }
 
 crypto::Digest Checkpoint::body_digest() const {

@@ -106,6 +106,10 @@ MinBftReplica::~MinBftReplica() {
   disarm_batch_timer();
   disarm_state_transfer_timer();
   if (repair_timer_armed_) net_->cancel(repair_timer_);
+  for (const auto& [token, timer] : grace_timers_) {
+    (void)token;
+    net_->cancel(timer);
+  }
 }
 
 ReplicaId MinBftReplica::current_leader() const {
@@ -250,22 +254,12 @@ void MinBftReplica::on_message(net::NodeId from, const MinBftMsg& msg) {
 
 void MinBftReplica::handle_request(const Request& req) {
   if (executed_requests_.count({req.client, req.request_id}) > 0) {
-    // Already applied: the client must have lost our reply (or is probing
-    // after a speculative stall) — answer from the cache with the CURRENT
-    // status, so a request that has since committed earns a final reply.
+    // Already applied: the client must have lost our reply — resend it from
+    // the cache.
     const auto it = reply_cache_.find(req.client);
     if (it != reply_cache_.end() && it->second.request_id == req.request_id &&
         verify_request(req)) {
-      CachedReply& cached = it->second;
-      const bool spec_now = !cached.committed;
-      if (cached.reply.speculative != spec_now) {
-        // The entry committed since the tentative reply went out: re-sign
-        // once with the FINAL flag and keep the fresh signature cached.
-        cached.reply.speculative = spec_now;
-        net_->consume_cpu(id_, config_.crypto_cost_reply);
-        cached.reply.signature = signer_.sign(cached.reply.payload());
-      }
-      net_->send(id_, req.client, MinBftMsg{cached.reply});
+      net_->send(id_, req.client, MinBftMsg{it->second});
     }
     return;
   }
@@ -440,7 +434,6 @@ bool MinBftReplica::seal_one_batch() {
   log_[seq] = std::move(entry);
   highest_assigned_ = std::max(highest_assigned_, seq);
   broadcast(p);
-  try_speculate();  // the leader's own batch is speculable immediately
   return true;
 }
 
@@ -542,7 +535,6 @@ void MinBftReplica::handle_prepare(const Prepare& p, bool relayed) {
   fetched_.erase(p.seq);
   send_commit(p);
   arm_view_change_timer();
-  try_speculate();
   try_execute();
 }
 
@@ -691,8 +683,8 @@ void MinBftReplica::handle_commit(const Commit& c) {
     // its counter is consumed, the committer will not resend it — and once
     // a full f+1 quorum piles up with still no prepare, stop waiting and
     // fetch a relay of the prepare from this committer.  Without the fetch
-    // a lost PREPARE stalls execution (and speculation) at the gap until
-    // the next stable checkpoint triggers state transfer.
+    // a lost PREPARE stalls execution at the gap until the next stable
+    // checkpoint triggers state transfer.
     if (c.seq > stable_checkpoint_ + config_.log_watermark) return;
     auto& votes = early_commits_[c.seq];
     votes[c.replica] = c.batch_digest;
@@ -704,16 +696,16 @@ void MinBftReplica::handle_commit(const Commit& c) {
       const View v = view_;
       const SeqNum seq = c.seq;
       const ReplicaId committer = c.replica;
-      net_->schedule(id_, kPrepareFetchGrace,
-                     [this, v, seq, committer]() {
-                       if (view_ != v || in_view_change_) return;
-                       if (seq <= stable_checkpoint_ ||
-                           log_.count(seq) != 0) {
-                         return;  // resolved itself
-                       }
-                       net_->send(id_, committer,
-                                  MinBftMsg{FetchPrepare{seq, id_}});
-                     });
+      const std::uint64_t token = next_grace_token_++;
+      grace_timers_[token] = net_->schedule(
+          id_, kPrepareFetchGrace, [this, token, v, seq, committer]() {
+            grace_timers_.erase(token);
+            if (view_ != v || in_view_change_) return;
+            if (seq <= stable_checkpoint_ || log_.count(seq) != 0) {
+              return;  // resolved itself
+            }
+            net_->send(id_, committer, MinBftMsg{FetchPrepare{seq, id_}});
+          });
     }
     return;
   }
@@ -747,22 +739,11 @@ void MinBftReplica::try_execute() {
     if (it == log_.end()) break;
     if (static_cast<int>(it->second.commits.size()) < config_.f + 1) break;
     if (!it->second.executed) {
-      if (it->second.spec_executed) {
-        // The state change already happened tentatively; the commit quorum
-        // only finalizes it (recorded results, no re-execution).
-        confirm_entry(it->second);
-      } else {
-        execute_entry(it->second);
-      }
+      execute_entry(it->second);
       it->second.executed = true;
       progressed = true;
     }
     ++last_executed_;
-    if (last_speculated_ < last_executed_) last_speculated_ = last_executed_;
-    // The committed snapshot advances with the quorum, not with speculative
-    // application: checkpoints digest it, rollbacks truncate to it.
-    committed_log_size_ = it->second.post_log_size;
-    committed_digest_ = it->second.post_digest;
     if (last_executed_ % config_.checkpoint_period == 0) emit_checkpoint();
   }
   if (progressed) {
@@ -771,128 +752,20 @@ void MinBftReplica::try_execute() {
   }
 }
 
-bool MinBftReplica::has_reconfiguration(const Prepare& p) {
-  for (const Request& r : p.requests) {
-    if (r.operation.rfind("join:", 0) == 0 ||
-        r.operation.rfind("evict:", 0) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void MinBftReplica::send_reply(const Request& req, std::string result,
-                               bool speculative) {
+void MinBftReplica::send_reply(const Request& req, std::string result) {
   if (mode_ == ByzantineMode::Random) result = "garbage";
   Reply reply;
   reply.replica = id_;
   reply.client = req.client;
   reply.request_id = req.request_id;
   reply.result = std::move(result);
-  reply.speculative = speculative;
   net_->consume_cpu(id_, config_.crypto_cost_reply);
   reply.signature = signer_.sign(reply.payload());
   net_->send(id_, req.client, MinBftMsg{reply});
-  reply_cache_[req.client] = CachedReply{req.request_id, reply, !speculative};
+  reply_cache_[req.client] = std::move(reply);
 }
 
-void MinBftReplica::try_speculate() {
-  if (!config_.speculative || in_view_change_) return;
-  if (last_speculated_ < last_executed_) last_speculated_ = last_executed_;
-  while (true) {
-    const auto it = log_.find(last_speculated_ + 1);
-    if (it == log_.end()) break;
-    PendingEntry& entry = it->second;
-    if (!entry.executed && !entry.spec_executed) {
-      // Membership changes are never applied tentatively: rolling back an
-      // evict/join would fork the very membership the quorum rules use.
-      if (has_reconfiguration(entry.prepare)) break;
-      speculate_entry(entry);
-      entry.spec_executed = true;
-      ++spec_executions_;
-    }
-    ++last_speculated_;
-  }
-}
-
-void MinBftReplica::speculate_entry(PendingEntry& entry) {
-  entry.spec_results.clear();
-  entry.spec_applied.clear();
-  for (const Request& req : entry.prepare.requests) {
-    if (!executed_requests_.insert({req.client, req.request_id}).second) {
-      entry.spec_results.emplace_back();  // duplicate: skipped, no reply
-      continue;
-    }
-    entry.spec_applied.emplace_back(req.client, req.request_id);
-    std::string result = service_.execute(req.operation);
-    entry.spec_results.push_back(result);
-    send_reply(req, std::move(result), /*speculative=*/true);
-  }
-  entry.post_log_size = service_.log().size();
-  entry.post_digest = service_.state_digest();
-}
-
-void MinBftReplica::confirm_entry(PendingEntry& entry) {
-  // The speculative reply already went out at PREPARE.  The f+1 lowest-id
-  // members (a baseline-sized quorum) follow it with a FINAL reply at the
-  // commit quorum, so the client completes at min(all-n tentative vouches,
-  // f+1 finals): one replica that missed its PREPARE (and therefore cannot
-  // vouch) degrades the request to baseline latency instead of stalling it
-  // behind a retransmission timeout.  The remaining members stay quiet —
-  // Zyzzyva's replicas reply once — and only flip their cached status so a
-  // retransmission is served FINAL.  A quiet designated replica is not a
-  // liveness hole: the prepare-fetch path bounds how long any member can
-  // lag, and the client's fallback valve re-asks answered replicas.
-  const auto rank = static_cast<std::size_t>(
-      std::find(membership_.begin(), membership_.end(), id_) -
-      membership_.begin());
-  const bool designated = rank < static_cast<std::size_t>(config_.f) + 1;
-  for (std::size_t i = 0; i < entry.prepare.requests.size(); ++i) {
-    if (i >= entry.spec_results.size() || entry.spec_results[i].empty()) {
-      continue;  // was a duplicate at speculation time
-    }
-    const Request& req = entry.prepare.requests[i];
-    const auto it = reply_cache_.find(req.client);
-    if (it == reply_cache_.end() || it->second.request_id != req.request_id) {
-      continue;  // a newer request from this client superseded the slot
-    }
-    it->second.committed = true;
-    if (designated && it->second.reply.speculative) {
-      it->second.reply.speculative = false;
-      net_->consume_cpu(id_, config_.crypto_cost_reply);
-      it->second.reply.signature = signer_.sign(it->second.reply.payload());
-      net_->send(id_, req.client, MinBftMsg{it->second.reply});
-    }
-  }
-}
-
-void MinBftReplica::rollback_speculation() {
-  bool rolled_back = false;
-  for (auto it = log_.upper_bound(last_executed_); it != log_.end(); ++it) {
-    PendingEntry& entry = it->second;
-    if (!entry.spec_executed || entry.executed) continue;
-    for (const auto& key : entry.spec_applied) executed_requests_.erase(key);
-    entry.spec_executed = false;
-    entry.spec_results.clear();
-    entry.spec_applied.clear();
-    rolled_back = true;
-  }
-  if (rolled_back) {
-    // Truncate the service to the committed prefix; the re-proposed entries
-    // re-execute from here (clients that accepted an all-n speculative
-    // reply are safe: such an entry survives into any f+1 proof set and is
-    // re-proposed at the same sequence number).
-    std::vector<std::string> prefix(
-        service_.log().begin(),
-        service_.log().begin() +
-            static_cast<std::ptrdiff_t>(committed_log_size_));
-    service_.install(std::move(prefix), committed_digest_);
-    ++spec_rollbacks_;
-  }
-  last_speculated_ = last_executed_;
-}
-
-void MinBftReplica::execute_entry(PendingEntry& entry) {
+void MinBftReplica::execute_entry(const PendingEntry& entry) {
   // Execution and REPLYs fan out per request of the batch.
   for (const Request& req : entry.prepare.requests) {
     if (!executed_requests_.insert({req.client, req.request_id}).second) {
@@ -900,10 +773,8 @@ void MinBftReplica::execute_entry(PendingEntry& entry) {
     }
     std::string result = service_.execute(req.operation);
     apply_reconfiguration(req.operation);
-    send_reply(req, std::move(result), /*speculative=*/false);
+    send_reply(req, std::move(result));
   }
-  entry.post_log_size = service_.log().size();
-  entry.post_digest = service_.state_digest();
 }
 
 void MinBftReplica::apply_reconfiguration(const std::string& op) {
@@ -929,15 +800,12 @@ void MinBftReplica::emit_checkpoint() {
   Checkpoint cp;
   cp.replica = id_;
   cp.last_executed = last_executed_;
-  // The committed snapshot, never the live service state: with speculation
-  // on, the service may be running ahead of the quorum, and a checkpoint
-  // must only ever certify state that cannot roll back.
-  cp.state_digest = committed_digest_;
-  // Remember the exact committed slice behind this boundary: if this
-  // checkpoint stabilizes, state responses vouch for it (the digest alone
-  // cannot reconstruct which operations it covers).
-  checkpoint_anchors_[cp.last_executed] = {committed_log_size_,
-                                           committed_digest_};
+  cp.state_digest = service_.state_digest();
+  // Remember the exact slice behind this boundary: if this checkpoint
+  // stabilizes, state responses vouch for it (the digest alone cannot
+  // reconstruct which operations it covers).
+  checkpoint_anchors_[cp.last_executed] = {service_.log().size(),
+                                           cp.state_digest};
   net_->consume_cpu(id_, config_.crypto_cost_sign);
   cp.ui = usig_.create(cp.body_digest());
   checkpoint_votes_[cp.last_executed][cp.state_digest][id_] = cp;
@@ -965,10 +833,6 @@ void MinBftReplica::handle_checkpoint(const Checkpoint& c) {
 void MinBftReplica::garbage_collect(SeqNum stable) {
   if (stable <= stable_checkpoint_) return;
   stable_checkpoint_ = stable;
-  // Fell behind the cluster: entries about to be erased may hold tentative
-  // state — undo it before their bookkeeping disappears (the state transfer
-  // below reinstalls the authoritative log).
-  if (last_executed_ < stable) rollback_speculation();
   log_.erase(log_.begin(), log_.lower_bound(stable + 1));
   checkpoint_votes_.erase(checkpoint_votes_.begin(),
                           checkpoint_votes_.lower_bound(stable + 1));
@@ -1244,9 +1108,6 @@ void MinBftReplica::handle_view_change(const ViewChange& vc) {
   // any NEW-VIEW that deviates, so even a compromised leader could not
   // tamper with it here.
   nv.reproposed = assemble_reproposals(nv.proofs, nv.view);
-  // Uncommitted tentative state does not survive a view change: truncate to
-  // the committed prefix, then the reproposals below re-execute from it.
-  rollback_speculation();
   log_.clear();
   for (Prepare& p : nv.reproposed) {
     net_->consume_cpu(id_, config_.crypto_cost_sign);
@@ -1261,7 +1122,6 @@ void MinBftReplica::handle_view_change(const ViewChange& vc) {
   nv.ui = usig_.create(nv.body_digest());
   resync_assignment_watermark();
   broadcast(nv);
-  try_speculate();
   try_execute();
   // The new leader drains any requests that queued up during the change.
   try_seal_batches();
@@ -1321,7 +1181,6 @@ void MinBftReplica::handle_new_view(const NewView& nv) {
   view_ = nv.view;
   in_view_change_ = false;
   disarm_view_change_timer();
-  rollback_speculation();
   log_.clear();
   for (const Prepare& p : nv.reproposed) {
     if (p.seq <= stable_checkpoint_) continue;
@@ -1337,7 +1196,6 @@ void MinBftReplica::handle_new_view(const NewView& nv) {
     // problem now; clients retransmit them.
     drop_pending_requests();
   }
-  try_speculate();
   try_execute();
   try_seal_batches();
 }
@@ -1372,7 +1230,7 @@ void MinBftReplica::send_state_request() {
   if (st_attempt_ > 1) ++st_retries_;
   StateRequest req;
   req.replica = id_;
-  req.ops_executed = committed_log_size_;
+  req.ops_executed = service_.log().size();
   if (st_attempt_ == 1) {
     // First shot fans out to everyone: the fastest f+1 honest responders
     // form the digest quorum, exactly the pre-retry behaviour.
@@ -1447,7 +1305,7 @@ bool MinBftReplica::try_install_anchor() {
   const StateResponse cand = std::move(*st_anchor_);
   st_anchor_.reset();
   if (cand.anchor_seq > last_executed_ &&
-      cand.prefix_ops <= committed_log_size_ &&
+      cand.prefix_ops <= service_.log().size() &&
       install_transferred_state(
           cand.prefix_ops, cand.log,
           static_cast<std::size_t>(cand.anchor_ops - cand.prefix_ops),
@@ -1483,7 +1341,7 @@ void MinBftReplica::discard_state_candidate(const crypto::Digest& digest) {
 }
 
 void MinBftReplica::publish_progress() {
-  progress_.committed_ops.store(committed_log_size_,
+  progress_.committed_ops.store(service_.log().size(),
                                 std::memory_order_relaxed);
   progress_.view.store(view_, std::memory_order_relaxed);
   progress_.st_attempts.store(st_attempts_, std::memory_order_relaxed);
@@ -1496,19 +1354,17 @@ void MinBftReplica::handle_state_request(net::NodeId from,
   StateResponse resp;
   resp.replica = id_;
   resp.last_executed = last_executed_;
-  // Ship only the committed suffix above the requester's own committed
-  // prefix: tentative speculative state must never be transferred, and a
+  // Ship only the suffix above the requester's own committed prefix: a
   // lagging (but not amnesiac) replica must not be mailed history it already
   // holds — full-log responses on a long-lived cluster would churn the
   // drop-oldest inboxes the recovery itself depends on.
+  const std::vector<std::string>& ops = service_.log();
   const std::size_t prefix = static_cast<std::size_t>(
-      std::min<std::uint64_t>(r.ops_executed, committed_log_size_));
+      std::min<std::uint64_t>(r.ops_executed, ops.size()));
   resp.prefix_ops = prefix;
-  resp.log.assign(service_.log().begin() +
-                      static_cast<std::ptrdiff_t>(prefix),
-                  service_.log().begin() +
-                      static_cast<std::ptrdiff_t>(committed_log_size_));
-  resp.state_digest = committed_digest_;
+  resp.log.assign(ops.begin() + static_cast<std::ptrdiff_t>(prefix),
+                  ops.end());
+  resp.state_digest = service_.state_digest();
   // Vouch for the stable checkpoint too, when we hold both its committed
   // slice and the f+1 certificate that stabilized it.  The head digest
   // above needs f+1 byte-identical responses; under continuous commits no
@@ -1539,7 +1395,7 @@ void MinBftReplica::handle_state_response(const StateResponse& r) {
   // A suffix above a prefix we do not hold cannot be spliced.  An honest
   // responder never sends one — prefix_ops is clamped to OUR reported
   // committed count, which only grows.
-  if (r.prefix_ops > committed_log_size_) return;
+  if (r.prefix_ops > service_.log().size()) return;
   // f+1 matching digests are only meaningful if each vote really comes from
   // the member it names.
   if (!is_member(r.replica) || r.signature.signer != r.replica) return;
@@ -1581,7 +1437,7 @@ void MinBftReplica::handle_state_response(const StateResponse& r) {
   }
   const auto it = pending_state_.find(r.state_digest);
   const StateResponse& adopt = it != pending_state_.end() ? it->second : r;
-  if (adopt.prefix_ops > committed_log_size_ ||
+  if (adopt.prefix_ops > service_.log().size() ||
       !install_transferred_state(adopt.prefix_ops, adopt.log,
                                  adopt.log.size(), adopt.state_digest,
                                  adopt.last_executed, /*cert=*/{})) {
@@ -1595,7 +1451,7 @@ bool MinBftReplica::anchor_certified(const StateResponse& r) {
   // The anchored slice must be reconstructible from this very response:
   // our first prefix_ops committed operations plus the shipped operations
   // up to the boundary's count.
-  if (r.anchor_ops < r.prefix_ops || r.prefix_ops > committed_log_size_)
+  if (r.anchor_ops < r.prefix_ops || r.prefix_ops > service_.log().size())
     return false;
   if (r.anchor_ops - r.prefix_ops > r.log.size()) return false;
   // Same rule as certified_stable: f+1 distinct current members' valid
@@ -1633,14 +1489,8 @@ bool MinBftReplica::install_transferred_state(
   if (!crypto::digest_equal(ReplicatedService::chain_digest(full), digest)) {
     return false;
   }
-  // Locally speculated state is superseded by the transferred log; undo its
-  // bookkeeping before the install wipes the service underneath it.
-  rollback_speculation();
   service_.install(std::move(full), digest);
   last_executed_ = seq;
-  last_speculated_ = seq;
-  committed_log_size_ = service_.log().size();
-  committed_digest_ = digest;
   checkpoint_anchors_.clear();
   // A checkpoint-anchored install lands exactly on a stable boundary and
   // carries the certificate that stabilized it, so our view-change claims
@@ -1657,7 +1507,7 @@ bool MinBftReplica::install_transferred_state(
     stable_cert_ = std::move(cert);
   }
   if (!stable_cert_.empty() && stable_checkpoint_ == seq) {
-    checkpoint_anchors_[seq] = {committed_log_size_, committed_digest_};
+    checkpoint_anchors_[seq] = {service_.log().size(), digest};
   }
   for (const std::string& op : service_.log()) apply_reconfiguration(op);
   // Erase only the bookkeeping the install supersedes.  Entries ABOVE the

@@ -225,8 +225,7 @@ RuntimeLoadStats MinBftRuntimeCluster::run_closed_loop(
     slot->id = static_cast<ClientId>(10000 + c);
     slot->client = std::make_unique<MinBftClient>(
         slot->id, config_.f, membership_, runtime_, registry_,
-        seed_ ^ slot->id, config_.request_retry_timeout,
-        config_.spec_fallback_timeout);
+        seed_ ^ slot->id, config_.request_retry_timeout);
     MinBftClient* raw = slot->client.get();
     runtime_.register_host(slot->id,
                            [raw](net::NodeId from, const MinBftMsg& m) {
@@ -404,17 +403,12 @@ RuntimeLoadStats MinBftRuntimeCluster::run_closed_loop(
   stats.auth_failures = runtime_.auth_failures();
   stats.macs_computed = runtime_.macs_computed();
   stats.bundled_frames = runtime_.bundled_frames();
-  for (const auto& slot : clients_) {
-    stats.completed_speculative += slot->client->completed_speculative_count();
-  }
   // The runtime is quiesced: loop-confined replica state is safe to read
   // from here (stop() joined every drain), and the chaos maps are no longer
   // mutated by anyone.
   std::lock_guard<std::mutex> lk(chaos_mu_);
   for (const auto& [id, replica] : replicas_) {
     (void)id;
-    stats.spec_executions += replica->spec_executions();
-    stats.spec_rollbacks += replica->spec_rollbacks();
     stats.st_attempts += replica->state_transfer_attempts();
     stats.st_retries += replica->state_transfer_retries();
     stats.st_completions += replica->state_transfer_completions();

@@ -8,6 +8,16 @@
 #include "tolerance/util/ensure.hpp"
 
 namespace tolerance::core {
+namespace {
+
+/// Largest gap between the warm-started and the cold optimum that the
+/// warm==cold invariant accepts.
+constexpr double kWarmOptimumTolerance = 1e-7;
+/// Fallback threshold when the published table carries no Thm. 2
+/// decomposition (beta1 == beta2 == -1): add iff s <= this.
+constexpr int kFallbackAddThreshold = 1;
+
+}  // namespace
 
 const char* to_string(ControllerMode mode) {
   switch (mode) {
@@ -93,7 +103,7 @@ void AsyncCmdpController::launch_locked(long cycle) {
       const solvers::CmdpSolution cold = solve_(nullptr);
       TOL_ENSURE(cold.valid_policy() &&
                      std::abs(cold.average_cost - result.average_cost) <=
-                         config_.warm_optimum_tolerance,
+                         kWarmOptimumTolerance,
                  "warm-started re-solve must reach the cold optimum");
     }
     std::unique_lock<std::mutex> lock(mu_);
@@ -197,7 +207,7 @@ PolicyQuery AsyncCmdpController::policy_at(int s) const {
       solvers::SystemThresholdPolicy(
           solvers::SystemThresholdPolicy::dominant_threshold(
               table.beta1, table.beta2, table.kappa,
-              config_.fallback_add_threshold))
+              kFallbackAddThreshold))
           .add(s);
   return query;
 }

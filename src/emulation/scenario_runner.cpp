@@ -24,6 +24,12 @@ using consensus::MinBftCluster;
 using consensus::ReplicaId;
 using pomdp::NodeState;
 
+/// Simulated seconds per control cycle (the paper's 60 s time-step); also
+/// the probe deadline.
+constexpr double kCycleSeconds = 60.0;
+/// Network-event budget for one consensus-ordered membership operation.
+constexpr std::size_t kMembershipEventBudget = 120000;
+
 consensus::ByzantineMode mode_for(const EmulatedNode& node) {
   if (node.state != NodeState::Compromised) {
     return consensus::ByzantineMode::Honest;
@@ -444,7 +450,7 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
       const EmulatedNode& node =
           testbed.nodes()[static_cast<std::size_t>(*it)];
       const ReplicaId rid = node_to_replica.at(node.id);
-      if (!cluster.try_evict_replica(rid, options_.membership_event_budget)) {
+      if (!cluster.try_evict_replica(rid, kMembershipEventBudget)) {
         ++result.quorum_stalls;  // node stays; re-qualifies next cycle
         continue;
       }
@@ -484,16 +490,14 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
       }
       for (const ReplicaId rid : membership) {
         if (known.count(rid) > 0) continue;
-        if (!cluster.try_evict_replica(rid,
-                                       options_.membership_event_budget)) {
+        if (!cluster.try_evict_replica(rid, kMembershipEventBudget)) {
           ++result.quorum_stalls;
         }
       }
     }
     int added = 0;
     if (decision.add_node && testbed.num_nodes() < scenario_.max_nodes) {
-      const auto joined =
-          cluster.try_join_new_replica(options_.membership_event_budget);
+      const auto joined = cluster.try_join_new_replica(kMembershipEventBudget);
       if (joined.has_value()) {
         const auto idx = testbed.add_node();
         TOL_ENSURE(idx.has_value(), "pool capacity checked above");
@@ -553,8 +557,7 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
         [&service_ok](std::uint64_t, const std::string&, double) {
           service_ok = true;
         });
-    cluster.network().run_until(cluster.network().now() +
-                                options_.cycle_seconds);
+    cluster.network().run_until(cluster.network().now() + kCycleSeconds);
     if (!service_ok) probe.cancel(rid);
     if (service_ok) ++service_cycles;
 

@@ -214,7 +214,6 @@ wire::Bytes MinBftCodec::encode(const MinBftMsg& msg) {
           w.varint(m.client);
           w.varint(m.request_id);
           w.str(m.result);
-          w.u8(m.speculative ? 1 : 0);
           put_signature(w, m.signature);
         } else if constexpr (std::is_same_v<T, Checkpoint>) {
           w.u8(kCheckpoint);
@@ -319,11 +318,7 @@ std::optional<MinBftMsg> MinBftCodec::decode(const std::uint8_t* data,
       const auto client = r.varint();
       const auto request_id = r.varint();
       auto result = r.str();
-      const auto speculative = r.u8();
-      if (!replica || !client || !request_id || !result || !speculative ||
-          *speculative > 1) {
-        break;
-      }
+      if (!replica || !client || !request_id || !result) break;
       const auto sig = get_signature(r);
       if (!sig) break;
       Reply rep;
@@ -331,7 +326,6 @@ std::optional<MinBftMsg> MinBftCodec::decode(const std::uint8_t* data,
       rep.client = static_cast<ClientId>(*client);
       rep.request_id = *request_id;
       rep.result = std::move(*result);
-      rep.speculative = (*speculative == 1);
       rep.signature = *sig;
       out = std::move(rep);
       break;

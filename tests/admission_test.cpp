@@ -69,13 +69,14 @@ TEST(AdmissionFilter, AttackConvergesOnSustainedPressure) {
   EXPECT_EQ(c.mode(), AdmissionMode::kHard);
 
   // Partial pressure converges to the raw blend, never overshooting it:
-  // queue at half capacity and nothing else contributes 0.5 * w_queue.
+  // queue at half capacity and nothing else contributes 0.5 * W_Q, with
+  // the queue weight W_Q = 0.5.
   AdmissionController half(cfg);
   for (int i = 0; i < 200; ++i) {
     half.observe_request(/*retry=*/false);
     half.update(static_cast<double>(i), cfg.queue_capacity / 2.0, 0.0);
   }
-  EXPECT_NEAR(half.pressure(), cfg.w_queue * 0.5, 1e-9);
+  EXPECT_NEAR(half.pressure(), 0.5 * 0.5, 1e-9);
 }
 
 TEST(AdmissionFilter, ReleaseDecaysOnTheClockNotPerSample) {

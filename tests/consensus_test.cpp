@@ -124,7 +124,7 @@ TEST(MinBft, CheckpointsGarbageCollect) {
   cluster.run_for(1.0);
   // All replicas should have advanced their executed counts.
   for (ReplicaId id : cluster.replica_ids()) {
-    EXPECT_EQ(cluster.replica(id).executed_count(), 17u);
+    EXPECT_EQ(cluster.replica(id).committed_log_size(), 17u);
   }
 }
 
@@ -181,7 +181,7 @@ TEST(MinBft, JoinExtendsMembershipAndTransfersState) {
   const ReplicaId joined = cluster.join_new_replica();
   EXPECT_EQ(cluster.replica(0).membership().size(), 4u);
   // The joiner caught up via state transfer (the join op itself is the 5th).
-  EXPECT_GE(cluster.replica(joined).executed_count(), 4u);
+  EXPECT_GE(cluster.replica(joined).committed_log_size(), 4u);
   // And participates in new operations.
   ASSERT_TRUE(cluster.submit_and_run(client, "after-join"));
   cluster.run_for(1.0);
@@ -207,7 +207,7 @@ TEST(MinBft, RecoveryReplacesCompromisedReplica) {
   cluster.replica(2).set_mode(ByzantineMode::Random);
   cluster.recover_replica(2);  // fresh container + state transfer (Fig. 17d)
   EXPECT_EQ(cluster.replica(2).mode(), ByzantineMode::Honest);
-  EXPECT_GE(cluster.replica(2).executed_count(), 3u);
+  EXPECT_GE(cluster.replica(2).committed_log_size(), 3u);
   ASSERT_TRUE(cluster.submit_and_run(client, "after-recovery"));
   cluster.run_for(1.0);
   EXPECT_EQ(cluster.replica(2).service().log().back(), "after-recovery");
@@ -763,7 +763,7 @@ TEST(MinBftBatching, EvictedReplicasBatchIsRejected) {
         zombie_raw->on_message(from, m);
       });
   const std::uint64_t counter_before = zombie_raw->usig_counter();
-  const auto executed_before = cluster.replica(1).executed_count();
+  const auto executed_before = cluster.replica(1).committed_log_size();
   const auto result = cluster.submit_and_run(client, "after-evict");
   ASSERT_TRUE(result.has_value());
   cluster.run_for(5.0);
@@ -773,7 +773,7 @@ TEST(MinBftBatching, EvictedReplicasBatchIsRejected) {
   // the zombie's batch bought it nothing.
   const auto& log1 = cluster.replica(1).service().log();
   EXPECT_EQ(std::count(log1.begin(), log1.end(), "after-evict"), 1);
-  EXPECT_EQ(cluster.replica(1).executed_count(), executed_before + 1);
+  EXPECT_EQ(cluster.replica(1).committed_log_size(), executed_before + 1);
 }
 
 TEST(MinBftBatching, RetransmittedCommitHitsUsigCacheAndStaysRejected) {
@@ -797,14 +797,14 @@ TEST(MinBftBatching, RetransmittedCommitHitsUsigCacheAndStaysRejected) {
   ASSERT_TRUE(captured.has_value());
 
   auto& r0 = cluster.replica(0);
-  const auto executed = r0.executed_count();
+  const auto executed = r0.committed_log_size();
   const auto misses_before = r0.usig_cache_misses();
   const auto hits_before = r0.usig_cache_hits();
   r0.on_message(2, consensus::MinBftMsg{*captured});  // the retransmit
   EXPECT_EQ(r0.usig_cache_hits(), hits_before + 1)
       << "duplicate commit re-verified instead of hitting the cache";
   EXPECT_EQ(r0.usig_cache_misses(), misses_before);
-  EXPECT_EQ(r0.executed_count(), executed) << "stale counter was accepted";
+  EXPECT_EQ(r0.committed_log_size(), executed) << "stale counter was accepted";
 }
 
 TEST(MinBftBatching, PipelineKeepsMultipleBatchesInFlight) {
@@ -895,11 +895,7 @@ TEST(MinBftSignedBytes, PayloadsAndBodyDigestsArePinned) {
   reply.client = 10007;
   reply.request_id = 12345678901234ULL;
   reply.result = "ok:4294967296";
-  reply.speculative = true;
-  EXPECT_EQ(reply.payload(), "reply|4|10007|12345678901234|ok:4294967296|spec");
-  reply.speculative = false;
-  EXPECT_EQ(reply.payload(),
-            "reply|4|10007|12345678901234|ok:4294967296|final");
+  EXPECT_EQ(reply.payload(), "reply|4|10007|12345678901234|ok:4294967296");
 
   Prepare prepare;
   prepare.view = 3;
@@ -945,101 +941,10 @@ TEST(MinBftSignedBytes, UsigCertificateIsPinned) {
   EXPECT_TRUE(crypto::Usig::verify(registry, crypto::Sha256::hash("op"), ui));
 }
 
-// ---------------------------------------------------------------------------
-// MinBFT: speculative execution (the wall-clock fast path, sim-lane checked)
-// ---------------------------------------------------------------------------
-
-MinBftConfig speculative_config(int f) {
-  MinBftConfig cfg = fast_config(f);
-  cfg.speculative = true;
-  return cfg;
-}
-
-TEST(MinBftSpeculative, AllNMatchingTentativeRepliesCompleteTheFastPath) {
-  // Every replica speculates at PREPARE and replies tentatively; the client
-  // commits on n-of-n matching speculative replies without waiting for the
-  // commit round.  (With cfg.speculative = false this test fails: no
-  // tentative replies ever go out and the speculative counters stay zero.)
-  MinBftCluster cluster(3, speculative_config(1), 31, fast_link());
-  auto& client = cluster.add_client();
-  const auto result = cluster.submit_and_run(client, "spec-w");
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, "ok:1");
-  EXPECT_EQ(client.completed_speculative_count(), 1u);
-  cluster.run_for(1.0);
-  for (ReplicaId id : cluster.replica_ids()) {
-    EXPECT_GE(cluster.replica(id).spec_executions(), 1u) << "replica " << id;
-    EXPECT_EQ(cluster.replica(id).spec_rollbacks(), 0u) << "replica " << id;
-    // The commit round caught up and finalized the tentative execution.
-    EXPECT_EQ(cluster.replica(id).committed_log_size(), 1u) << "replica " << id;
-  }
-}
-
-TEST(MinBftSpeculative, ViewChangeMidSpeculationRollsBackWithoutDoubleApply) {
-  // Wedge a cluster mid-speculation: with follower<->follower links blocked
-  // at n=5 (f=2), a follower receiving the PREPARE holds 2 of the f+1 = 3
-  // required commit votes (leader + self) forever — it speculates, replies
-  // tentatively, and cannot commit.  The client still completes on the
-  // all-n speculative quorum.  Crashing the leader then forces a view
-  // change: followers must roll the tentative execution back to the
-  // committed prefix (empty) and re-execute the entry once it is reproposed
-  // at the same sequence number — the client-visible result survives and no
-  // replica applies the operation twice.  (With cfg.speculative = false the
-  // speculative assertions below fail: nothing completes before the view
-  // change and no rollback ever happens.)
-  MinBftCluster cluster(5, speculative_config(2), 33, fast_link());
-  for (ReplicaId a = 1; a <= 4; ++a) {
-    for (ReplicaId b = static_cast<ReplicaId>(a + 1); b <= 4; ++b) {
-      cluster.network().set_blocked(a, b, true);
-    }
-  }
-  auto& client = cluster.add_client();
-  int completions = 0;
-  std::string result;
-  client.submit("spec-w", [&](std::uint64_t, const std::string& r, double) {
-    ++completions;
-    result = r;
-  });
-  cluster.run_for(1.0);
-  // Speculative completion happened; followers are executed-ahead-of-commit.
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(result, "ok:1");
-  EXPECT_EQ(client.completed_speculative_count(), 1u);
-  for (ReplicaId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(cluster.replica(id).spec_executions(), 1u) << "replica " << id;
-    EXPECT_EQ(cluster.replica(id).service().log().size(), 1u);
-    EXPECT_EQ(cluster.replica(id).committed_log_size(), 0u)
-        << "replica " << id << " committed without a quorum";
-  }
-  // Kill the leader mid-speculation and let the survivors talk again.
-  cluster.crash_replica(0);
-  for (ReplicaId a = 1; a <= 4; ++a) {
-    for (ReplicaId b = static_cast<ReplicaId>(a + 1); b <= 4; ++b) {
-      cluster.network().set_blocked(a, b, false);
-    }
-  }
-  cluster.run_for(30.0);
-  // The view change rolled the tentative execution back, reproposed the
-  // prepared entry, and committed it: exactly one application survives.
-  for (ReplicaId id = 1; id <= 4; ++id) {
-    auto& replica = cluster.replica(id);
-    EXPECT_GT(replica.view(), 0u) << "replica " << id;
-    EXPECT_GE(replica.spec_rollbacks(), 1u) << "replica " << id;
-    ASSERT_EQ(replica.service().log().size(), 1u)
-        << "replica " << id << " lost or double-applied the operation";
-    EXPECT_EQ(replica.service().log().front(), "spec-w");
-    EXPECT_EQ(replica.committed_log_size(), 1u) << "replica " << id;
-  }
-  // The client never saw a second completion and its result still matches
-  // the committed execution.
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(result, "ok:1");
-}
-
 TEST(MinBftCommitRepair, LostCommitVotesHealInPlaceWithoutViewChange) {
-  // Same wedge as the rollback test above — follower<->follower links
-  // blocked at n=5 leave every follower 2 of the f+1 = 3 required commit
-  // votes — but here the leader STAYS UP and the commit-repair clock is
+  // Wedge the cluster: with follower<->follower links blocked at n=5
+  // (f=2), every follower holds 2 of the f+1 = 3 required commit votes
+  // (leader + self).  The leader STAYS UP and the commit-repair clock is
   // turned on.  Once the links heal, each follower's repair nudge
   // re-broadcasts its own (re-signed) vote; the other followers count the
   // fresh vote and the wedge closes in view 0.  No crash, no view change:
@@ -1113,55 +1018,93 @@ TEST(MinBftCommitRepair, DestroyedReplicaLeavesNoRepairTimerBehind) {
   }
 }
 
-TEST(MinBftSpeculative, ByzantineLeaderDivergingBatchIsDenouncedNotSpeculated) {
-  // Behaviour (c) as leader under the fast path: the corrupted batch fails
-  // the per-request client-signature check at honest followers *before* any
-  // tentative execution, so nothing has to roll back — the followers
-  // denounce the leader and the operation commits in the next view.  The
-  // client cannot complete speculatively (the compromised replica's reply
-  // diverges, and the all-n quorum requires every replica to match), so it
-  // falls back to f+1 matching FINAL replies served from the reply caches
-  // on retransmission.
-  MinBftCluster cluster(3, speculative_config(1), 35, fast_link());
-  cluster.replica(0).set_mode(ByzantineMode::Random);  // view-0 leader
+TEST(MinBftPrepareFetch, RecoveredReplicaLeavesNoGraceTimerBehind) {
+  // The leader's PREPAREs never reach replica 4, so the three followers'
+  // COMMITs arrive there first (at ~0.3 s) and form an f+1 quorum without
+  // a prepare: replica 4 arms its 20 ms PREPARE-fetch grace timer.
+  // Recovering replica 4 inside that window destroys the object the
+  // timer's callback captured; unless the destructor cancels it, the
+  // callback reads freed memory (a heap-use-after-free under ASan).
+  MinBftConfig cfg = fast_config(2);
+  cfg.crypto_cost_sign = 0.0;
+  cfg.crypto_cost_verify = 0.0;
+  cfg.crypto_cost_reply = 0.0;
+  net::LinkConfig link;
+  link.base_delay = 0.1;
+  link.jitter = 0.0;
+  MinBftCluster cluster(5, cfg, 43, link);
+  net::LinkConfig lost = link;
+  lost.loss = 1.0;
+  cluster.network().set_link(0, 4, lost);  // only PREPAREs flow 0 -> 4 here
   auto& client = cluster.add_client();
-  std::optional<std::string> result;
-  client.submit("legit", [&](std::uint64_t, const std::string& r, double) {
-    result = r;
-  });
-  cluster.run_for(30.0);
-  ASSERT_TRUE(result.has_value()) << "cluster never recovered from the "
-                                     "diverging speculative leader";
-  EXPECT_NE(*result, "garbage");
-  EXPECT_EQ(client.completed_speculative_count(), 0u)
-      << "a diverging batch must never complete on the speculative quorum";
-  for (ReplicaId id : {ReplicaId{1}, ReplicaId{2}}) {
-    for (const std::string& op : cluster.replica(id).service().log()) {
-      EXPECT_EQ(op.find("|garbage"), std::string::npos)
-          << "diverging batch executed tentatively on replica " << id;
-    }
-    EXPECT_GT(cluster.replica(id).view(), 0u);
+  const double submitted = cluster.network().now();
+  client.submit("w0", [](std::uint64_t, const std::string&, double) {});
+  cluster.run_for(0.31);
+  ASSERT_EQ(cluster.replica(4).committed_log_size(), 0u)
+      << "replica 4 executed without the PREPARE";
+  const double elapsed = cluster.network().now() - submitted;
+  ASSERT_GE(elapsed, 0.305);
+  ASSERT_LE(elapsed, 0.32);
+  cluster.recover_replica(4);  // runs the network past the grace deadline
+  for (ReplicaId id = 0; id <= 3; ++id) {
+    EXPECT_EQ(cluster.replica(id).service().log(),
+              std::vector<std::string>{"w0"})
+        << "replica " << id;
   }
 }
 
-TEST(MinBftSpeculative, SpeculativeAndBatchedLogsMatchBaseline) {
+TEST(MinBft, LostReplyIsAnsweredFromTheReplyCache) {
+  // Every reply to the client is lost until all replicas have executed the
+  // request.  The client's retransmission then reaches replicas that
+  // already applied it: each must answer from its reply cache rather than
+  // drop the duplicate or execute it again.
+  MinBftCluster cluster(3, fast_config(1), 47, fast_link());
+  auto& client = cluster.add_client();
+  net::LinkConfig lost = fast_link();
+  lost.loss = 1.0;
+  for (ReplicaId id : cluster.replica_ids()) {
+    cluster.network().set_link(id, client.id(), lost);
+  }
+  std::optional<std::string> result;
+  client.submit("w0", [&](std::uint64_t, const std::string& r, double) {
+    result = r;
+  });
+  const auto all_executed = [&] {
+    for (ReplicaId id : cluster.replica_ids()) {
+      if (cluster.replica(id).committed_log_size() == 0) return false;
+    }
+    return true;
+  };
+  while (!all_executed() && cluster.network().step()) {
+  }
+  ASSERT_TRUE(all_executed());
+  EXPECT_FALSE(result.has_value()) << "a reply crossed a lossy link";
+  for (ReplicaId id : cluster.replica_ids()) {
+    cluster.network().set_link(id, client.id(), fast_link());
+  }
+  cluster.run_for(3.0);  // past the client's 1 s retransmission timer
+  ASSERT_TRUE(result.has_value()) << "the retransmission went unanswered";
+  EXPECT_EQ(*result, "ok:1");
+  for (ReplicaId id : cluster.replica_ids()) {
+    EXPECT_EQ(cluster.replica(id).service().log(),
+              std::vector<std::string>{"w0"})
+        << "replica " << id;
+  }
+}
+
+TEST(MinBftFlushWindow, FlushWindowLogsMatchBaseline) {
   // The sim-lane half of the CI bench gate, as a unit test: under the same
-  // deterministic workload, speculation and MAC batching are pure latency
-  // levers — the committed operation logs stay equivalent to the plain
-  // configuration (same multiset, same per-client order).
+  // deterministic workload, the MAC flush window is a pure cost lever — the
+  // committed operation logs stay equivalent to the plain configuration
+  // (same multiset, same per-client order).
   MinBftConfig cfg = fast_config(1);
   const int clients = 6, ops = 10;
   const auto baseline = tagged_workload(cfg, 3, clients, ops, 37);
-  MinBftConfig spec = cfg;
-  spec.speculative = true;
-  const auto speculated = tagged_workload(spec, 3, clients, ops, 37);
   MinBftConfig mac = cfg;
   mac.mac_flush_window = 0.002;
   const auto batched = tagged_workload(mac, 3, clients, ops, 37);
   ASSERT_EQ(baseline.log.size(), static_cast<std::size_t>(clients * ops));
   std::string err;
-  EXPECT_TRUE(logs_equivalent(speculated.log, baseline.log, clients, &err))
-      << err;
   EXPECT_TRUE(logs_equivalent(batched.log, baseline.log, clients, &err))
       << err;
 }

@@ -106,7 +106,6 @@ std::vector<consensus::MinBftMsg> all_message_kinds() {
   rep.client = 10001;
   rep.request_id = 5;
   rep.result = "ok:5";
-  rep.speculative = true;  // exercise the fast-path flag in every sweep
   rep.signature = test_signature(1, 0x23);
   msgs.emplace_back(rep);
   msgs.emplace_back(test_checkpoint(2));
@@ -217,43 +216,6 @@ TEST(WireCodec, SeededBitFlipsNeverBreakDecode) {
       EXPECT_EQ(net::MinBftCodec::encode(*redecoded), reencoded);
     }
   }
-}
-
-// The speculative flag on a Reply is a strict boolean on the wire: both
-// values round-trip, the two encodings differ in exactly the flag byte, and
-// any other value at that position is rejected (a compromised replica must
-// not be able to smuggle out-of-domain bytes past the codec).
-TEST(WireCodec, SpeculativeReplyFlagRoundTripsAndRejectsBadByte) {
-  consensus::Reply rep;
-  rep.replica = 1;
-  rep.client = 10001;
-  rep.request_id = 5;
-  rep.result = "ok:5";
-  rep.signature = test_signature(1, 0x23);
-  rep.speculative = false;
-  const auto plain = net::MinBftCodec::encode(consensus::MinBftMsg{rep});
-  rep.speculative = true;
-  const auto tentative = net::MinBftCodec::encode(consensus::MinBftMsg{rep});
-  for (const bool spec : {false, true}) {
-    const auto decoded =
-        net::MinBftCodec::decode(spec ? tentative : plain);
-    ASSERT_TRUE(decoded.has_value());
-    const auto* r = std::get_if<consensus::Reply>(&*decoded);
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->speculative, spec);
-  }
-  ASSERT_EQ(plain.size(), tentative.size());
-  std::size_t flag_at = plain.size();
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    if (plain[i] != tentative[i]) {
-      ASSERT_EQ(flag_at, plain.size()) << "flag must occupy exactly one byte";
-      flag_at = i;
-    }
-  }
-  ASSERT_LT(flag_at, plain.size());
-  auto forged = tentative;
-  forged[flag_at] = 2;  // out of the boolean domain
-  EXPECT_FALSE(net::MinBftCodec::decode(forged).has_value());
 }
 
 // The Overloaded mode byte is a strict enum on the wire: soft (1) and hard

@@ -674,12 +674,12 @@ TEST(MembershipInvariants, EvictedReplicasUsigCounterIsNeverAcceptedAgain) {
         }
       });
 
-  const std::size_t executed_before = cluster.replica(0).executed_count();
+  const std::size_t executed_before = cluster.replica(0).committed_log_size();
   const std::uint64_t zombie_counter_before = zombie_raw->usig_counter();
   const auto result = cluster.submit_and_run(client, "op2", 40000);
   EXPECT_FALSE(result.has_value())
       << "op2 executed — an evicted replica's USIG counter was accepted";
-  EXPECT_EQ(cluster.replica(0).executed_count(), executed_before);
+  EXPECT_EQ(cluster.replica(0).committed_log_size(), executed_before);
   EXPECT_GT(zombie_raw->usig_counter(), zombie_counter_before)
       << "the zombie never voted — the wiretap did not fire";
 }
@@ -695,7 +695,7 @@ TEST(MembershipInvariants, RecoveredReplicaRegainsVotingRightsViaFreshEpoch) {
   // a bumped epoch.  Then crash replica 2, so the next request can only
   // reach quorum if the recovered replica's votes are accepted again.
   cluster.recover_replica(1);
-  EXPECT_EQ(cluster.replica(1).executed_count(), 3u)
+  EXPECT_EQ(cluster.replica(1).committed_log_size(), 3u)
       << "state transfer should have caught the recovered replica up";
   cluster.crash_replica(2);
   const auto result = cluster.submit_and_run(client, "after-recovery", 60000);
