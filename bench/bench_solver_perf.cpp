@@ -4,24 +4,30 @@
 // BENCH_scenarios.json so the perf trajectory has solver datapoints).
 //
 //  * Fig. 9 column — the occupancy-measure LP of Algorithm 2 at the largest
-//    smax: the dense two-phase tableau solved from scratch versus the
-//    sparse revised simplex, cold (policy crash basis) and warm (re-solve
-//    from the previous optimal basis, the ScenarioRunner / epsilon_A-sweep /
-//    baseline Monte-Carlo workload).
+//    smax: the kernel build (SystemCmdp::parametric) against the dense
+//    oracle kernel, then the dense two-phase tableau solved from scratch
+//    versus the sparse revised simplex, cold (policy crash basis) and warm
+//    (re-solve from the previous optimal basis, the ScenarioRunner /
+//    epsilon_A-sweep / baseline Monte-Carlo workload).
 //  * Fig. 8 IP column — IncrementalPruning::solve_cycle at DeltaR = 25:
 //    the enumerate-and-prune backup versus the breakpoint-merge backup.
 //
 // Exits non-zero if the optimized paths disagree with the baselines
-// (objectives beyond 1e-6 relative, envelopes beyond 1e-9).
+// (kernel entries beyond 1e-12, objectives beyond 1e-6 relative, envelopes
+// beyond 1e-9).
 //
 // Flags: --out PATH (default BENCH_solvers.json); TOLERANCE_BENCH_FULL=1
 // runs smax = 2048 (the paper's Fig. 9 end point) instead of 512.
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
+#include "tolerance/oracles/dense_kernel.hpp"
 #include "tolerance/oracles/dense_simplex.hpp"
 #include "tolerance/oracles/ip_reference.hpp"
 #include "tolerance/solvers/cmdp_lp.hpp"
@@ -40,10 +46,31 @@ int main(int argc, char** argv) {
 
   // --- Fig. 9: Algorithm 2 LP ---------------------------------------------
   const int smax = bench::scaled(512, 2048);
+  Stopwatch clock;
   const auto cmdp = pomdp::SystemCmdp::parametric(smax, 3, 0.9, 0.95, 0.3,
                                                   1e-4);
+  const double t_build = clock.elapsed_seconds();
 
-  Stopwatch clock;
+  clock.reset();
+  const auto dense_kernel =
+      oracles::dense_parametric_kernel(smax, 0.95, 0.3, 1e-4);
+  const double t_build_dense = clock.elapsed_seconds();
+  double kernel_diff = 0.0;
+  for (int a = 0; a < 2; ++a) {
+    for (int s = 0; s <= smax; ++s) {
+      for (int next = 0; next <= smax; ++next) {
+        kernel_diff = std::max(
+            kernel_diff,
+            std::fabs(cmdp.trans(s, a, next) -
+                      dense_kernel[static_cast<std::size_t>(a)](
+                          static_cast<std::size_t>(s),
+                          static_cast<std::size_t>(next))));
+      }
+    }
+  }
+  const bool kernel_ok = kernel_diff <= 1e-12;
+
+  clock.reset();
   const auto dense = oracles::dense_simplex(solvers::replication_lp(cmdp));
   const double t_dense = clock.elapsed_seconds();
 
@@ -81,6 +108,16 @@ int main(int argc, char** argv) {
           1e-6 * (1.0 + drift_cold.average_cost);
   const double lp_cold_speedup = t_dense / std::max(t_cold, 1e-9);
   const double lp_warm_speedup = t_dense / std::max(t_warm, 1e-9);
+
+  ConsoleTable kernel_table({"fig9 smax", "kernel build", "time (s)",
+                             "max |diff| vs dense"});
+  kernel_table.add_row({std::to_string(smax), "dense oracle",
+                        ConsoleTable::num(t_build_dense, 4), "-"});
+  std::ostringstream diff_text;
+  diff_text << std::scientific << std::setprecision(2) << kernel_diff;
+  kernel_table.add_row({"", "sparse rows", ConsoleTable::num(t_build, 4),
+                        diff_text.str()});
+  kernel_table.print(std::cout);
 
   ConsoleTable lp_table({"fig9 smax", "path", "time (s)", "pivots", "eta nnz",
                          "E[s]", "speedup vs dense/scratch"});
@@ -135,7 +172,9 @@ int main(int argc, char** argv) {
                     ConsoleTable::num(ip_speedup, 2)});
   ip_table.print(std::cout);
 
-  std::cout << "\nLP optima match: " << (lp_ok ? "YES" : "NO — BUG")
+  std::cout << "\nKernel matches the dense oracle (max diff " << kernel_diff
+            << "): " << (kernel_ok ? "YES" : "NO — BUG")
+            << "   LP optima match: " << (lp_ok ? "YES" : "NO — BUG")
             << "   IP envelopes match (max diff " << ip_envelope_diff
             << "): " << (ip_ok ? "YES" : "NO — BUG") << '\n';
 
@@ -144,6 +183,10 @@ int main(int argc, char** argv) {
       << "  \"bench\": \"solver_perf\",\n"
       << "  \"fig9_lp\": {\n"
       << "    \"smax\": " << smax << ",\n"
+      << "    \"seconds_kernel_build\": " << t_build << ",\n"
+      << "    \"seconds_kernel_build_dense_oracle\": " << t_build_dense
+      << ",\n"
+      << "    \"kernel_max_abs_diff\": " << kernel_diff << ",\n"
       << "    \"seconds_dense_scratch\": " << t_dense << ",\n"
       << "    \"pivots_dense\": " << dense.iterations << ",\n"
       << "    \"seconds_revised_cold\": " << t_cold << ",\n"
@@ -165,5 +208,5 @@ int main(int argc, char** argv) {
       << "  }\n"
       << "}\n";
   std::cout << "wrote " << out_path << '\n';
-  return lp_ok && ip_ok ? 0 : 1;
+  return kernel_ok && lp_ok && ip_ok ? 0 : 1;
 }

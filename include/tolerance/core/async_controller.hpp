@@ -48,6 +48,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string>
 
 #include "tolerance/core/policy_buffer.hpp"
 #include "tolerance/solvers/cmdp_lp.hpp"
@@ -108,13 +109,18 @@ struct AsyncControllerStats {
   long hold_cycles = 0;
   long fallback_cycles = 0;
   int max_staleness = 0;
+  /// Background solves that threw; each reaches the guard as a poisoned
+  /// result.  `last_solver_error` keeps the latest what().
+  long solver_errors = 0;
+  std::string last_solver_error;
 };
 
 class AsyncCmdpController {
  public:
   /// Background solve callback: given the warm-start basis of the previous
   /// accepted solution (nullptr on a cold start), return a fresh solution.
-  /// Runs on the pool worker; must not throw.
+  /// Runs on the pool worker.  A std::exception it throws (or the warm==cold
+  /// check throws) poisons the result: the guard rejects it and retries.
   using SolveFn =
       std::function<solvers::CmdpSolution(const lp::SimplexBasis*)>;
 

@@ -69,7 +69,16 @@ class BinomialDist {
  public:
   BinomialDist(int n, double p);
   double pmf(int k) const;
+  /// Full pmf vector over {0, ..., n}: pmf_window(0.0, ...), zero-filled.
   std::vector<double> pmf_vector() const;
+  /// The pmf on the window of k around the mode where it stays above
+  /// `cutoff` times the pmf at the mode: one closed-form evaluation at the
+  /// mode, then the ratio recurrence pmf(k+1) / pmf(k) = (n-k) p /
+  /// ((k+1)(1-p)) outward in both directions.  Appends pmf(lo), pmf(lo+1),
+  /// ... to `out` and returns lo.  Every k outside the window has a smaller
+  /// pmf (the pmf is unimodal); cutoff = 0 stops only where the recurrence
+  /// underflows.
+  int pmf_window(double cutoff, std::vector<double>& out) const;
   int sample(Rng& rng) const;
 
  private:

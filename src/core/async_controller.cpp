@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "tolerance/solvers/threshold_policy.hpp"
@@ -95,18 +97,31 @@ void AsyncCmdpController::launch_locked(long cycle) {
     warm_verified_ = true;
   }
   pool_.submit([this, id, warm = std::move(warm), verify]() {
-    solvers::CmdpSolution result = solve_(warm ? &*warm : nullptr);
-    if (verify && result.valid_policy() &&
-        result.warm_start != lp::WarmStart::None) {
-      // Warm==cold optimum invariant: a warm-started simplex may take a
-      // different path but must land on the same optimal cost.
-      const solvers::CmdpSolution cold = solve_(nullptr);
-      TOL_ENSURE(cold.valid_policy() &&
-                     std::abs(cold.average_cost - result.average_cost) <=
-                         kWarmOptimumTolerance,
-                 "warm-started re-solve must reach the cold optimum");
+    solvers::CmdpSolution result;
+    std::optional<std::string> error;
+    try {
+      result = solve_(warm ? &*warm : nullptr);
+      if (verify && result.valid_policy() &&
+          result.warm_start != lp::WarmStart::None) {
+        // Warm==cold optimum invariant: a warm-started simplex may take a
+        // different path but must land on the same optimal cost.
+        const solvers::CmdpSolution cold = solve_(nullptr);
+        TOL_ENSURE(cold.valid_policy() &&
+                       std::abs(cold.average_cost - result.average_cost) <=
+                           kWarmOptimumTolerance,
+                   "warm-started re-solve must reach the cold optimum");
+      }
+    } catch (const std::exception& e) {
+      // A throw on the worker would terminate the process; hand the guard
+      // a poisoned result instead, so it rejects and retries with backoff.
+      result = solvers::CmdpSolution{};
+      error = e.what();
     }
     std::unique_lock<std::mutex> lock(mu_);
+    if (error) {
+      ++stats_.solver_errors;
+      stats_.last_solver_error = std::move(*error);
+    }
     if (!pending_ || pending_->id != id) return;  // orphaned by a crash
     if (fail_next_ > 0) {
       // Scripted solver failure: the result reaches the controller poisoned

@@ -7,24 +7,20 @@
 #include "tolerance/util/ensure.hpp"
 
 namespace tolerance::pomdp {
-namespace {
 
-void normalize_row(la::Matrix& m, std::size_t row) {
-  double total = 0.0;
-  for (std::size_t j = 0; j < m.cols(); ++j) total += m(row, j);
-  TOL_ENSURE(total > 0.0, "kernel row must have positive mass");
-  for (std::size_t j = 0; j < m.cols(); ++j) m(row, j) /= total;
-}
-
-}  // namespace
-
-SystemCmdp::SystemCmdp(int smax, int f, double epsilon_a,
-                       la::Matrix kernel_wait, la::Matrix kernel_add)
+SystemCmdp::SystemCmdp(int smax, int f, double epsilon_a)
     : smax_(smax), f_(f), epsilon_a_(epsilon_a) {
   TOL_ENSURE(smax >= 1, "smax must be >= 1");
   TOL_ENSURE(f >= 0 && f < smax, "need 0 <= f < smax");
   TOL_ENSURE(epsilon_a >= 0.0 && epsilon_a <= 1.0,
              "epsilon_A must be in [0,1]");
+  for (auto& rows : rows_) rows.reserve(static_cast<std::size_t>(smax + 1));
+}
+
+SystemCmdp::SystemCmdp(int smax, int f, double epsilon_a,
+                       const la::Matrix& kernel_wait,
+                       const la::Matrix& kernel_add)
+    : SystemCmdp(smax, f, epsilon_a) {
   const auto n = static_cast<std::size_t>(smax + 1);
   TOL_ENSURE(kernel_wait.rows() == n && kernel_wait.cols() == n,
              "kernel_wait has wrong shape");
@@ -34,8 +30,16 @@ SystemCmdp::SystemCmdp(int smax, int f, double epsilon_a,
              "kernel_wait must be row-stochastic");
   TOL_ENSURE(kernel_add.is_row_stochastic(1e-7),
              "kernel_add must be row-stochastic");
-  kernel_[0] = std::move(kernel_wait);
-  kernel_[1] = std::move(kernel_add);
+  std::vector<double> bump(n);
+  for (int a = 0; a < 2; ++a) {
+    const la::Matrix& k = a == 0 ? kernel_wait : kernel_add;
+    for (std::size_t s = 0; s < n; ++s) {
+      double floor = k(s, 0);
+      for (std::size_t j = 1; j < n; ++j) floor = std::min(floor, k(s, j));
+      for (std::size_t j = 0; j < n; ++j) bump[j] = k(s, j) - floor;
+      push_row(a, floor, 0, bump);
+    }
+  }
 }
 
 SystemCmdp SystemCmdp::parametric(int smax, int f, double epsilon_a,
@@ -44,34 +48,52 @@ SystemCmdp SystemCmdp::parametric(int smax, int f, double epsilon_a,
   TOL_ENSURE(q_healthy >= 0.0 && q_healthy <= 1.0, "q_healthy in [0,1]");
   TOL_ENSURE(q_recover >= 0.0 && q_recover <= 1.0, "q_recover in [0,1]");
   TOL_ENSURE(mix >= 0.0 && mix < 1.0, "mix in [0,1)");
+  SystemCmdp cmdp(smax, f, epsilon_a);
   const int n = smax + 1;
-  la::Matrix k0(static_cast<std::size_t>(n), static_cast<std::size_t>(n), 0.0);
-  la::Matrix k1 = k0;
+  const double uniform = mix / n;
+  std::vector<double> ps;
+  std::vector<double> pr;
+  std::vector<double> conv;
+  std::vector<double> shifted;
   for (int s = 0; s <= smax; ++s) {
-    const stats::BinomialDist survive(s, q_healthy);
-    const stats::BinomialDist recover(smax - s, q_recover);
-    const auto ps = survive.pmf_vector();
-    const auto pr = recover.pmf_vector();
-    for (int a = 0; a <= 1; ++a) {
-      la::Matrix& k = a == 0 ? k0 : k1;
-      for (int i = 0; i <= s; ++i) {
-        for (int j = 0; j <= smax - s; ++j) {
-          const int next = std::min(smax, i + j + a);
-          k(static_cast<std::size_t>(s), static_cast<std::size_t>(next)) +=
-              ps[static_cast<std::size_t>(i)] * pr[static_cast<std::size_t>(j)];
-        }
-      }
-      if (mix > 0.0) {
-        for (int next = 0; next <= smax; ++next) {
-          auto& cell =
-              k(static_cast<std::size_t>(s), static_cast<std::size_t>(next));
-          cell = (1.0 - mix) * cell + mix / n;
-        }
-      }
-      normalize_row(k, static_cast<std::size_t>(s));
+    ps.clear();
+    pr.clear();
+    // Healthy next states i + j over the two windows: conv[k] holds
+    // next = lo + k, and lo + conv.size() - 1 <= s + (smax - s) = smax.
+    const int lo =
+        stats::BinomialDist(s, q_healthy).pmf_window(kPmfCutoff, ps) +
+        stats::BinomialDist(smax - s, q_recover).pmf_window(kPmfCutoff, pr);
+    conv.assign(ps.size() + pr.size() - 1, 0.0);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      double* out = conv.data() + i;
+      for (std::size_t j = 0; j < pr.size(); ++j) out[j] += ps[i] * pr[j];
     }
+    // a = 1 adds a node: the same row one state up, with the mass pushed
+    // past smax folded onto smax.
+    shifted = conv;
+    if (lo + static_cast<int>(conv.size()) - 1 == smax && conv.size() > 1) {
+      shifted[shifted.size() - 2] += shifted.back();
+      shifted.pop_back();
+    }
+    // Mix in `mix` uniform mass and normalize, then split at the row
+    // minimum as the dense constructor does.  Off the window the row holds
+    // only the uniform share, which is then the minimum.
+    double mass = 0.0;
+    for (const double p : conv) mass += p;
+    const double total = (1.0 - mix) * mass + uniform * n;
+    TOL_ENSURE(total > 0.0, "kernel row must have positive mass");
+    const auto split = [&](int a, int first, std::vector<double>& row) {
+      for (double& p : row) p = ((1.0 - mix) * p + uniform) / total;
+      const double floor = row.size() == static_cast<std::size_t>(n)
+                               ? *std::min_element(row.begin(), row.end())
+                               : uniform / total;
+      for (double& p : row) p -= floor;
+      cmdp.push_row(a, floor, first, row);
+    };
+    split(0, lo, conv);
+    split(1, std::min(lo + 1, smax), shifted);
   }
-  return SystemCmdp(smax, f, epsilon_a, std::move(k0), std::move(k1));
+  return cmdp;
 }
 
 SystemCmdp SystemCmdp::estimate_from_node_simulation(
@@ -148,25 +170,42 @@ SystemCmdp SystemCmdp::estimate_from_node_simulation(
   return SystemCmdp(smax, f, epsilon_a, std::move(k0), std::move(k1));
 }
 
-double SystemCmdp::trans(int s, int a, int next) const {
-  TOL_ENSURE(s >= 0 && s <= smax_, "state out of range");
-  TOL_ENSURE(next >= 0 && next <= smax_, "next state out of range");
-  TOL_ENSURE(a == 0 || a == 1, "action must be 0 or 1");
-  return kernel_[a](static_cast<std::size_t>(s), static_cast<std::size_t>(next));
+void SystemCmdp::push_row(int a, double floor, int lo,
+                          std::span<const double> bump) {
+  auto& values = bumps_[a];
+  rows_[a].push_back({floor, lo, static_cast<int>(bump.size()), values.size()});
+  values.insert(values.end(), bump.begin(), bump.end());
 }
 
-const la::Matrix& SystemCmdp::kernel(int a) const {
+const SystemCmdp::RowSlot& SystemCmdp::slot(int s, int a) const {
+  TOL_ENSURE(s >= 0 && s <= smax_, "state out of range");
   TOL_ENSURE(a == 0 || a == 1, "action must be 0 or 1");
-  return kernel_[a];
+  return rows_[a][static_cast<std::size_t>(s)];
+}
+
+SystemCmdp::Row SystemCmdp::row(int s, int a) const {
+  const RowSlot& r = slot(s, a);
+  return {r.floor, r.lo,
+          std::span<const double>(bumps_[a]).subspan(
+              r.offset, static_cast<std::size_t>(r.len))};
+}
+
+double SystemCmdp::entry(const RowSlot& r, int a, int next) const {
+  const int k = next - r.lo;
+  if (k < 0 || k >= r.len) return r.floor;
+  return r.floor + bumps_[a][r.offset + static_cast<std::size_t>(k)];
+}
+
+double SystemCmdp::trans(int s, int a, int next) const {
+  TOL_ENSURE(next >= 0 && next <= smax_, "next state out of range");
+  return entry(slot(s, a), a, next);
 }
 
 int SystemCmdp::step(int s, int a, Rng& rng) const {
-  TOL_ENSURE(s >= 0 && s <= smax_, "state out of range");
-  TOL_ENSURE(a == 0 || a == 1, "action must be 0 or 1");
+  const RowSlot& r = slot(s, a);
   double u = rng.uniform();
-  const la::Matrix& k = kernel_[a];
   for (int j = 0; j < smax_; ++j) {
-    u -= k(static_cast<std::size_t>(s), static_cast<std::size_t>(j));
+    u -= entry(r, a, j);
     if (u < 0.0) return j;
   }
   return smax_;

@@ -47,9 +47,10 @@ lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp) {
   // The raw flow-balance columns are dense: every kernel row carries a
   // small uniform floor (the `mix` mass of the parametric kernel, the
   // Laplace smoothing of the estimated one), so f(s | s', a) is nonzero for
-  // every s.  Split each kernel row into that floor plus a sparse "bump":
-  //   f(s | s', a) = bump(s | s', a) + u(s', a),   u(s', a) = min_s f(...),
-  // and aggregate the floor through a single auxiliary variable
+  // every s.  SystemCmdp stores each row split into that floor plus a
+  // sparse "bump":
+  //   f(s | s', a) = bump(s | s', a) + u(s', a),
+  // and the LP aggregates the floor through a single auxiliary variable
   //   z = sum_{s',a} u(s', a) rho(s', a)   (one defining Eq row),
   // so each flow row reads
   //   sum_a rho(s,a) - sum_{s',a} bump(s|s',a) rho(s',a) - z = 0.
@@ -66,14 +67,6 @@ lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp) {
     }
   }
   program.objective[static_cast<std::size_t>(z_var)] = 0.0;
-  std::vector<std::array<double, 2>> floor_u(static_cast<std::size_t>(n));
-  for (int sp = 0; sp < n; ++sp) {
-    for (int a = 0; a < 2; ++a) {
-      double lo = cmdp.trans(sp, a, 0);
-      for (int s = 1; s < n; ++s) lo = std::min(lo, cmdp.trans(sp, a, s));
-      floor_u[static_cast<std::size_t>(sp)][static_cast<std::size_t>(a)] = lo;
-    }
-  }
   // Normalization (14c).
   {
     std::vector<std::pair<int, double>> terms;
@@ -83,23 +76,27 @@ lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp) {
   }
   // Flow balance (14d): sum_a rho(s,a) - sum_{s',a} rho(s',a) f(s|s',a) = 0,
   // with f split as above.  One of these rows is linearly dependent given
-  // (14c); the two-phase simplex handles the redundancy.
+  // (14c); the two-phase simplex handles the redundancy.  Each row lists the
+  // diagonal first, then the bump terms by ascending (s', a), then z; a
+  // column's own bump term is a second entry beside its diagonal 1, and the
+  // solver adds duplicate entries.
+  std::vector<std::vector<std::pair<int, double>>> flow(
+      static_cast<std::size_t>(n));
   for (int s = 0; s < n; ++s) {
-    std::vector<std::pair<int, double>> terms;
+    flow[static_cast<std::size_t>(s)] = {{2 * s, 1.0}, {2 * s + 1, 1.0}};
+  }
+  for (int sp = 0; sp < n; ++sp) {
     for (int a = 0; a < 2; ++a) {
-      terms.push_back({2 * s + a, 1.0});
-    }
-    for (int sp = 0; sp < n; ++sp) {
-      for (int a = 0; a < 2; ++a) {
-        const double bump =
-            cmdp.trans(sp, a, s) -
-            floor_u[static_cast<std::size_t>(sp)][static_cast<std::size_t>(a)];
-        if (bump > kDropTol) {
-          // Merge with the diagonal term if sp == s.
-          terms.push_back({2 * sp + a, -bump});
+      const pomdp::SystemCmdp::Row row = cmdp.row(sp, a);
+      for (std::size_t k = 0; k < row.bump.size(); ++k) {
+        if (row.bump[k] > kDropTol) {
+          flow[static_cast<std::size_t>(row.lo) + k].push_back(
+              {2 * sp + a, -row.bump[k]});
         }
       }
     }
+  }
+  for (auto& terms : flow) {
     terms.push_back({z_var, -1.0});
     program.add_constraint(std::move(terms), lp::Relation::Eq, 0.0);
   }
@@ -118,8 +115,7 @@ lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp) {
     std::vector<std::pair<int, double>> terms;
     for (int sp = 0; sp < n; ++sp) {
       for (int a = 0; a < 2; ++a) {
-        const double u =
-            floor_u[static_cast<std::size_t>(sp)][static_cast<std::size_t>(a)];
+        const double u = cmdp.row(sp, a).floor;
         if (u > 0.0) terms.push_back({2 * sp + a, u});
       }
     }

@@ -1,5 +1,6 @@
 #include "tolerance/stats/distributions.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tolerance/stats/special.hpp"
@@ -82,9 +83,43 @@ double BinomialDist::pmf(int k) const {
 }
 
 std::vector<double> BinomialDist::pmf_vector() const {
-  std::vector<double> p(n_ + 1);
-  for (int k = 0; k <= n_; ++k) p[k] = pmf(k);
+  std::vector<double> p;
+  const int lo = pmf_window(0.0, p);
+  p.insert(p.begin(), static_cast<std::size_t>(lo), 0.0);
+  p.resize(static_cast<std::size_t>(n_ + 1), 0.0);
   return p;
+}
+
+int BinomialDist::pmf_window(double cutoff, std::vector<double>& out) const {
+  TOL_ENSURE(cutoff >= 0.0 && cutoff < 1.0, "pmf cutoff must be in [0, 1)");
+  if (p_ == 0.0 || p_ == 1.0) {
+    out.push_back(1.0);
+    return p_ == 0.0 ? 0 : n_;
+  }
+  const int mode = std::min(n_, static_cast<int>((n_ + 1) * p_));
+  const double peak = pmf(mode);
+  const double floor = cutoff * peak;
+  const double odds = p_ / (1.0 - p_);
+  // Below the mode, walking down: pmf(k-1) = pmf(k) k / ((n-k+1) odds).
+  // The walk appends in descending k; reverse it into place.
+  const std::size_t begin = out.size();
+  double v = peak;
+  int lo = mode;
+  for (; lo > 0; --lo) {
+    v *= lo / ((n_ - lo + 1) * odds);
+    if (!(v > floor)) break;
+    out.push_back(v);
+  }
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+  out.push_back(peak);
+  // Above the mode: pmf(k+1) = pmf(k) (n-k) odds / (k+1).
+  v = peak;
+  for (int k = mode; k < n_; ++k) {
+    v *= (n_ - k) * odds / (k + 1);
+    if (!(v > floor)) break;
+    out.push_back(v);
+  }
+  return lo;
 }
 
 int BinomialDist::sample(Rng& rng) const { return rng.binomial(n_, p_); }

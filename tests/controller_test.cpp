@@ -8,7 +8,10 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -274,6 +277,74 @@ TEST(AsyncController, PoisonedSolveIsNeverFlippedIn) {
   EXPECT_EQ(ctrl.epoch(), 1u);
   // With nothing ever published again the ladder must have degraded.
   EXPECT_EQ(ctrl.mode(), ControllerMode::Fallback);
+}
+
+// A SolveFn that throws reaches the poison guard instead of terminating the
+// process, in both lanes: the previous epoch keeps serving, the throw counts
+// as one rejection and one solver error, and the retry publishes.  Solves
+// after the throwing one wait on a gate, so nothing can publish between the
+// rejection and the checks.
+TEST(AsyncController, ThrowingSolveIsRejectedNotFatal) {
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic lane" : "wall-clock lane");
+    const CmdpSolution initial = solved();
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    std::atomic<int> calls{0};
+    AsyncControllerConfig cfg = fast_config();
+    cfg.deterministic = deterministic;
+    AsyncCmdpController ctrl(
+        initial,
+        [&](const lp::SimplexBasis* warm) {
+          const int call = calls.fetch_add(1) + 1;
+          if (call == 2) throw std::runtime_error("solver fault");
+          if (call > 2) {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait(lock, [&] { return open; });
+          }
+          return solvers::solve_replication_lp(test_cmdp(), {}, warm);
+        },
+        cfg, /*seed=*/17);
+    const auto open_gate = [&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        open = true;
+      }
+      cv.notify_all();
+    };
+    // Destroyed before ctrl: a solve parked on the gate lets the pool drain.
+    struct OpenOnExit {
+      std::function<void()> open;
+      ~OpenOnExit() { open(); }
+    } open_on_exit{open_gate};
+
+    long t = 0;
+    const auto run_until = [&](const auto& done) {
+      for (int i = 0; i < 5000 && !done(); ++i) {
+        ctrl.begin_cycle(++t);
+        if (!deterministic) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    };
+    run_until([&] { return ctrl.stats().rejected > 0; });
+    AsyncControllerStats stats = ctrl.stats();
+    EXPECT_EQ(stats.resolves, 1);
+    EXPECT_EQ(stats.rejected, 1);
+    EXPECT_EQ(stats.solver_errors, 1);
+    EXPECT_NE(stats.last_solver_error.find("solver fault"), std::string::npos);
+    EXPECT_EQ(ctrl.epoch(), 2u);
+    EXPECT_EQ(ctrl.policy_at(3).epoch, 2u);
+
+    open_gate();
+    run_until([&] { return ctrl.epoch() >= 3; });
+    stats = ctrl.stats();
+    EXPECT_EQ(ctrl.epoch(), 3u);
+    EXPECT_EQ(stats.resolves, 2);
+    EXPECT_EQ(stats.rejected, 1);
+    EXPECT_EQ(stats.solver_errors, 1);
+  }
 }
 
 TEST(AsyncController, CrashDiscardsInFlightSolveAndRecoversAfterRestart) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "tolerance/oracles/dense_kernel.hpp"
 #include "tolerance/oracles/dense_simplex.hpp"
 #include "tolerance/oracles/ip_reference.hpp"
 #include "tolerance/pomdp/assumptions.hpp"
@@ -14,6 +16,8 @@
 #include "tolerance/solvers/objective.hpp"
 #include "tolerance/solvers/spsa.hpp"
 #include "tolerance/solvers/threshold_policy.hpp"
+#include "tolerance/stats/distributions.hpp"
+#include "tolerance/stats/special.hpp"
 
 namespace tolerance::solvers {
 namespace {
@@ -579,6 +583,141 @@ TEST(CmdpLp, SimulatedPolicyMeetsConstraintLongRun) {
   EXPECT_NEAR(available / static_cast<double>(horizon), sol.availability,
               0.02);
   EXPECT_NEAR(cost / horizon, sol.average_cost, 0.15);
+}
+
+// ---------------------------------------------------------------------------
+// SystemCmdp::parametric against the dense oracle kernel
+// ---------------------------------------------------------------------------
+
+// Survival / recovery probabilities and mixes of the differential grid: the
+// degenerate 0 and 1, the near-degenerate 1e-3 and 0.999, and two interior
+// points.
+constexpr double kGridQ[] = {0.0, 1e-3, 0.3, 0.9, 0.999, 1.0};
+constexpr double kGridMix[] = {0.0, 1e-4, 0.05};
+constexpr double kGridEpsilon = 0.9;
+
+int grid_f(int smax) { return std::min(3, smax - 1); }
+
+// The closed form BinomialDist::pmf(k) = exp(log C(n, k) + ...) is only as
+// exact as its log-gamma terms: about 2 eps log Gamma(n + 1) relative, which
+// is 6e-12 at n = 2048 (log Gamma(2049) ~ 13,580) and 1.2e-12 at n = 512.
+// The windowed pmfs and the dense oracle kernel differ by up to that much
+// where n is large; the differential bounds add it to their own.
+double closed_form_error(int n) {
+  return 2.0 * stats::log_gamma(n + 1.0) *
+         std::numeric_limits<double>::epsilon();
+}
+
+class SystemCmdpDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SystemCmdpDifferential, EntriesMatchTheDenseOracle) {
+  const int smax = GetParam();
+  for (const double qh : kGridQ) {
+    for (const double qr : kGridQ) {
+      for (const double mix : kGridMix) {
+        const auto cmdp = pomdp::SystemCmdp::parametric(
+            smax, grid_f(smax), kGridEpsilon, qh, qr, mix);
+        const auto dense = oracles::dense_parametric_kernel(smax, qh, qr, mix);
+        double worst = 0.0;
+        for (int a = 0; a < 2; ++a) {
+          for (int s = 0; s <= smax; ++s) {
+            const double* row = dense[static_cast<std::size_t>(a)].row(
+                static_cast<std::size_t>(s));
+            for (int next = 0; next <= smax; ++next) {
+              worst = std::max(
+                  worst, std::fabs(cmdp.trans(s, a, next) - row[next]));
+            }
+          }
+        }
+        EXPECT_LE(worst, 1e-13 + closed_form_error(smax))
+            << "smax=" << smax << " q_healthy=" << qh << " q_recover=" << qr
+            << " mix=" << mix;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Smax, SystemCmdpDifferential,
+                         ::testing::Values(1, 2, 9, 13, 128, 512));
+
+// The LP of the sparse build against the LP of the same kernel built densely
+// (SystemCmdp's dense constructor splits each oracle row at its minimum):
+// same status, the same optimum, the same number of pivots.  The LP half of
+// the grid keeps the kernels the revised simplex solves reliably: full
+// support (mix > 0), q_healthy >= 0.3 and smax <= 128.  With q in {0, 1},
+// mix = 0 or q_healthy = 1e-3 the chain is nearly deterministic or
+// periodic, and on some instances the simplex stalls at its iteration limit
+// or returns an infeasible point, at the parent's dense build too;
+// bench_solver_perf checks the smax = 512 LP.
+TEST_F(SystemCmdpDifferential, LpMatchesTheDenseOracleKernel) {
+  int optimal = 0;
+  for (const int smax : {1, 2, 9, 13, 128}) {
+    for (const double qh : {0.3, 0.9, 0.999}) {
+      for (const double qr : {1e-3, 0.3, 0.9, 0.999}) {
+        for (const double mix : {1e-4, 0.05}) {
+          const auto sparse =
+              solve_replication_lp(pomdp::SystemCmdp::parametric(
+                  smax, grid_f(smax), kGridEpsilon, qh, qr, mix));
+          const auto dense =
+              oracles::dense_parametric_kernel(smax, qh, qr, mix);
+          const auto oracle = solve_replication_lp(pomdp::SystemCmdp(
+              smax, grid_f(smax), kGridEpsilon, dense[0], dense[1]));
+          const std::string where = "smax=" + std::to_string(smax) +
+                                    " q_healthy=" + std::to_string(qh) +
+                                    " q_recover=" + std::to_string(qr) +
+                                    " mix=" + std::to_string(mix);
+          ASSERT_EQ(sparse.status, oracle.status) << where;
+          if (oracle.status != lp::LpStatus::Optimal) continue;
+          ++optimal;
+          EXPECT_NEAR(sparse.average_cost, oracle.average_cost, 1e-9)
+              << where;
+          EXPECT_NEAR(sparse.availability, oracle.availability, 1e-9)
+              << where;
+          EXPECT_EQ(sparse.lp_iterations, oracle.lp_iterations) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(optimal, 0);
+}
+
+TEST_F(SystemCmdpDifferential, PmfVectorMatchesTheClosedForm) {
+  for (const int n : {0, 1, 7, 128, 2048}) {
+    for (const double p : {0.0, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.999, 1.0}) {
+      const stats::BinomialDist dist(n, p);
+      const auto v = dist.pmf_vector();
+      ASSERT_EQ(v.size(), static_cast<std::size_t>(n + 1));
+      for (int k = 0; k <= n; ++k) {
+        const double exact = dist.pmf(k);
+        if (exact <= 1e-300) continue;
+        EXPECT_LE(std::fabs(v[static_cast<std::size_t>(k)] - exact),
+                  (1e-12 + closed_form_error(n)) * exact)
+            << "n=" << n << " p=" << p << " k=" << k;
+      }
+    }
+  }
+}
+
+// At Fig. 9's smax = 2048 the bumps hold under a quarter of the dense
+// entries, and every stored row still carries unit mass.
+TEST_F(SystemCmdpDifferential, BumpsStaySparseAtFig9Scale) {
+  constexpr int kSmax = 2048;
+  const auto cmdp =
+      pomdp::SystemCmdp::parametric(kSmax, 3, 0.9, 0.95, 0.3, 1e-4);
+  std::size_t stored = 0;
+  double worst = 0.0;
+  for (int a = 0; a < 2; ++a) {
+    for (int s = 0; s <= kSmax; ++s) {
+      const pomdp::SystemCmdp::Row row = cmdp.row(s, a);
+      stored += row.bump.size();
+      double mass = row.floor * (kSmax + 1);
+      for (const double b : row.bump) mass += b;
+      worst = std::max(worst, std::fabs(mass - 1.0));
+    }
+  }
+  const double dense = 2.0 * (kSmax + 1) * (kSmax + 1);
+  EXPECT_LT(static_cast<double>(stored), 0.25 * dense);
+  EXPECT_LE(worst, 1e-12);
 }
 
 }  // namespace
