@@ -107,6 +107,24 @@ class RecordTest(unittest.TestCase):
             traced["metrics"]["lp.pivots_per_cold_solve"]["change"], [129])
         self.assertEqual(perf_record.check([rec]), [])
 
+    def test_traced_service_peak_keeps_the_codec_layers(self):
+        codec = {"net.bytes_per_op": 2950.5, "net.send_us_per_op": 41.0,
+                 "net.runtime_residual_us_per_op": 39.5}
+        with tempfile.TemporaryDirectory() as d:
+            for side in perf_record.SIDES:
+                (pathlib.Path(d) / f"{side}-service-peak-3-trace.txt"
+                 ).write_text(run_text(dict(codec, **{
+                     "consensus.batch_fill": 0.5})))
+            rec = perf_record.build_record(perf_record.load_runs(d),
+                                           END_TO_END, "PR 1", "abc", "h")
+        traced = rec["workloads"]["service-peak"]["traced"]
+        self.assertEqual(traced["seeds"], [3])
+        self.assertEqual(set(traced["metrics"]), set(codec))
+        for name, value in codec.items():
+            self.assertEqual(traced["metrics"][name],
+                             {"parent": [value], "change": [value]})
+        self.assertEqual(perf_record.check([rec]), [])
+
 
 class CheckTest(unittest.TestCase):
     def good(self):

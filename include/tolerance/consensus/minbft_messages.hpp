@@ -275,6 +275,8 @@ struct Overloaded {
   std::string payload() const;
 };
 
+/// The alternative index is the message's tag byte on the wire
+/// (net::MinBftCodec), so this order is a fixed wire contract: append-only.
 using MinBftMsg =
     std::variant<Request, Prepare, Commit, Reply, Checkpoint, ReqViewChange,
                  ViewChange, NewView, StateRequest, StateResponse,

@@ -80,18 +80,18 @@ bool identical(const ScenarioResult& a, const ScenarioResult& b);
 
 struct ScenarioOptions {
   bool record_trace = true;
-  /// Consensus batching knobs, forwarded to MinBftConfig: requests bound to
-  /// one USIG counter and sealed-but-unexecuted batches in flight.  The
-  /// scenario workload is sequential (one probe / membership op at a time),
-  /// so batched and unbatched runs are bit-identical — which the batching
-  /// equivalence suite asserts across the whole catalog.
-  int consensus_batch_size = 16;
-  int consensus_pipeline_depth = 4;
-  /// Override the scenario's ScenarioController::async flag: true forces the
-  /// asynchronous level-2 controller on (requires the runner to hold the
-  /// system CMDP for re-solving), false forces the legacy inline solve (the
-  /// bench uses this as the no-failsafe baseline for the controller-fault
-  /// family).  nullopt follows the scenario.
+  /// Run the consensus layer as MinBftConfig::unbatched() (singleton
+  /// batches, unbounded pipeline).  The scenario workload is sequential (one
+  /// probe / membership op at a time), so batched and unbatched runs are
+  /// bit-identical — which the batching equivalence suite asserts across
+  /// the whole catalog.
+  bool unbatched_consensus = false;
+  /// Override whether the scenario runs the asynchronous level-2 controller:
+  /// true forces it on (with the scenario's config, or the defaults when it
+  /// has none; requires the runner to hold the system CMDP for re-solving),
+  /// false forces the legacy inline solve (the bench uses this as the
+  /// no-failsafe baseline for the controller-fault family).  nullopt follows
+  /// the scenario.
   std::optional<bool> async_controller;
 };
 

@@ -14,9 +14,11 @@
 // thread count.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "tolerance/core/async_controller.hpp"
 #include "tolerance/emulation/attacker.hpp"
 #include "tolerance/emulation/testbed.hpp"
 #include "tolerance/pomdp/node_model.hpp"
@@ -65,21 +67,6 @@ struct ScenarioEvent {
   CompromisedBehavior behavior = CompromisedBehavior::Participate;
 };
 
-/// Level-2 controller configuration for a scenario: whether the CMDP
-/// re-solve runs asynchronously (core/async_controller.hpp) and the
-/// staleness-ladder knobs.  Defaults mirror AsyncControllerConfig; `async`
-/// is false so the legacy catalog keeps its inline-solve (and byte-identical
-/// golden-trace) behaviour, and the controller-fault family switches it on.
-struct ScenarioController {
-  bool async = false;
-  int resolve_period = 5;
-  int solve_latency_cycles = 1;
-  int staleness_budget = 8;
-  int fallback_deadline = 16;
-  int retry_backoff_cycles = 2;
-  int max_retry_backoff_cycles = 16;
-};
-
 /// A named, self-contained closed-loop experiment.
 struct Scenario {
   std::string name;
@@ -97,8 +84,12 @@ struct Scenario {
   /// budgets, typed Overloaded rejections).  The overload catalog entries
   /// set this; the bench's no-admission baselines clear it on a copy.
   bool admission_control = false;
-  /// Level-2 controller wiring (async re-solver + staleness failsafe).
-  ScenarioController controller;
+  /// Level-2 controller wiring: present runs the CMDP re-solve
+  /// asynchronously (core/async_controller.hpp) behind the staleness ladder
+  /// it configures; absent keeps the inline solve (and the byte-identical
+  /// golden trace) of the legacy catalog.  The controller-fault family sets
+  /// it.  The runner always forces `deterministic`.
+  std::optional<core::AsyncControllerConfig> controller;
   std::vector<ScenarioEvent> events;
 };
 

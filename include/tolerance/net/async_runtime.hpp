@@ -51,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -61,6 +62,7 @@
 #include "tolerance/net/fault_injector.hpp"
 #include "tolerance/net/profiles.hpp"
 #include "tolerance/net/transport.hpp"
+#include "tolerance/net/wire_io.hpp"
 #include "tolerance/util/ensure.hpp"
 #include "tolerance/util/rng.hpp"
 #include "tolerance/util/thread_pool.hpp"
@@ -75,7 +77,7 @@ template <class Msg, class Codec>
 class AsyncRuntime final : public Transport<Msg> {
  public:
   using Handler = typename Transport<Msg>::Handler;
-  using Bytes = std::vector<std::uint8_t>;
+  using Bytes = wire::Bytes;
 
   struct Options {
     LinkConfig replica_link{};  ///< links among ids below client_floor
@@ -412,41 +414,22 @@ class AsyncRuntime final : public Transport<Msg> {
            std::to_string(from) + ">" + std::to_string(to);
   }
 
-  static void put_varint(Bytes& out, std::uint64_t v) {
-    while (v >= 0x80) {
-      out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-  }
-
-  static bool get_varint(const Bytes& b, std::size_t& pos,
-                         std::uint64_t& out) {
-    out = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos >= b.size()) return false;
-      const std::uint8_t byte = b[pos++];
-      out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return true;
-    }
-    return false;
-  }
-
   /// Bundle layout: varint frame count, then per frame a varint length and
   /// the frame bytes, then the 32-byte HMAC-SHA256 tag over everything
   /// before it.
   std::shared_ptr<const Bytes> make_bundle(
       NodeId from, NodeId to,
       const std::vector<std::shared_ptr<const Bytes>>& frames) {
-    Bytes out;
+    wire::Writer w;
     std::size_t payload = 0;
     for (const auto& f : frames) payload += f->size() + 10;
-    out.reserve(payload + crypto::Digest{}.size() + 4);
-    put_varint(out, frames.size());
+    w.reserve(payload + crypto::Digest{}.size() + 4);
+    w.varint(frames.size());
     for (const auto& f : frames) {
-      put_varint(out, f->size());
-      out.insert(out.end(), f->begin(), f->end());
+      w.varint(f->size());
+      w.bytes(f->data(), f->size());
     }
+    Bytes out = w.take();
     const crypto::Digest tag = crypto::hmac_sha256(
         pair_key(from, to),
         std::string_view(reinterpret_cast<const char*>(out.data()),
@@ -715,30 +698,25 @@ class AsyncRuntime final : public Transport<Msg> {
       auth_failures_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    std::size_t pos = 0;
-    std::uint64_t count = 0;
-    if (!get_varint(b, pos, count) || pos > body || count > body) {
+    // The whole header parses before any frame is dispatched: a malformed
+    // bundle delivers nothing.
+    wire::Reader r(b.data(), body);
+    const auto count = r.varint();
+    bool ok = count && *count <= r.remaining();
+    std::vector<std::span<const std::uint8_t>> spans;
+    if (ok) spans.reserve(static_cast<std::size_t>(*count));
+    for (std::uint64_t i = 0; ok && i < *count; ++i) {
+      const auto len = r.varint();
+      const auto span = len ? r.bytes(*len) : std::nullopt;
+      ok = span.has_value();
+      if (ok) spans.push_back(*span);
+    }
+    if (!ok || !r.done()) {
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    std::vector<std::pair<std::size_t, std::size_t>> spans;
-    spans.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t len = 0;
-      if (!get_varint(b, pos, len) || pos > body ||
-          len > body - pos) {
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      spans.emplace_back(pos, static_cast<std::size_t>(len));
-      pos += static_cast<std::size_t>(len);
-    }
-    if (pos != body) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    for (const auto& [off, len] : spans) {
-      const auto msg = Codec::decode(b.data() + off, len);
+    for (const auto& span : spans) {
+      const auto msg = Codec::decode(span.data(), span.size());
       if (!msg) {
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
         continue;

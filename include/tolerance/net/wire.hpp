@@ -6,99 +6,19 @@
 // stack does and what makes the runtime lane free of cross-thread object
 // sharing (digest memos and signature caches stay loop-local).
 //
-// Encoding: unsigned LEB128 varints for integers, length-prefixed byte
-// strings, raw 32-byte digests, one tag byte per message alternative.
-// Decoding is bounds-checked and total: any malformed or truncated buffer
-// yields nullopt, never undefined behaviour — a prerequisite for feeding
-// the codec from a lossy transport.
+// A message is one tag byte — its MinBftMsg alternative index — followed by
+// its fields in the order wire.cpp lists them once for both directions,
+// written with the wire_io.hpp primitives.  Decoding is bounds-checked and
+// total: any malformed, truncated or out-of-range buffer yields nullopt,
+// never undefined behaviour — a prerequisite for feeding the codec from a
+// lossy transport.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "tolerance/consensus/minbft_messages.hpp"
-
-namespace tolerance::net::wire {
-
-using Bytes = std::vector<std::uint8_t>;
-
-/// Append-only byte-buffer writer (unsigned LEB128 varints).
-class Writer {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    out_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void bytes(const std::uint8_t* data, std::size_t len) {
-    out_.insert(out_.end(), data, data + len);
-  }
-  void str(std::string_view s) {
-    varint(s.size());
-    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  }
-  void digest(const crypto::Digest& d) { bytes(d.data(), d.size()); }
-
-  Bytes take() { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
-
- private:
-  Bytes out_;
-};
-
-/// Bounds-checked reader over a byte span.  Every accessor returns nullopt
-/// past the end (or on varint overflow) instead of reading out of bounds.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t len) : data_(data), len_(len) {}
-  explicit Reader(const Bytes& b) : Reader(b.data(), b.size()) {}
-
-  std::size_t remaining() const { return len_ - pos_; }
-  bool done() const { return pos_ == len_; }
-
-  std::optional<std::uint8_t> u8() {
-    if (pos_ >= len_) return std::nullopt;
-    return data_[pos_++];
-  }
-  std::optional<std::uint64_t> varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      const auto byte = u8();
-      if (!byte) return std::nullopt;
-      v |= static_cast<std::uint64_t>(*byte & 0x7f) << shift;
-      if ((*byte & 0x80) == 0) return v;
-    }
-    return std::nullopt;  // > 10 continuation bytes: malformed
-  }
-  std::optional<std::string> str() {
-    const auto len = varint();
-    if (!len || *len > remaining()) return std::nullopt;
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(*len));
-    pos_ += static_cast<std::size_t>(*len);
-    return s;
-  }
-  std::optional<crypto::Digest> digest() {
-    crypto::Digest d{};
-    if (remaining() < d.size()) return std::nullopt;
-    for (std::size_t i = 0; i < d.size(); ++i) d[i] = data_[pos_ + i];
-    pos_ += d.size();
-    return d;
-  }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t len_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace tolerance::net::wire
+#include "tolerance/net/wire_io.hpp"
 
 namespace tolerance::net {
 

@@ -61,10 +61,12 @@ struct CmdpSolution {
 
   /// Poison guard for the asynchronous publish path (core/policy_buffer.hpp):
   /// true iff the solve converged (Optimal), the policy table is non-empty,
-  /// and every entry is a finite probability in [0, 1], with a finite
-  /// average cost.  A background re-solve that comes back infeasible,
-  /// unbounded or NaN-laden must be rejected by the controller, never
-  /// flipped into the live table the decision path reads.
+  /// every entry is a finite probability in [0, 1], the average cost is
+  /// finite, and the occupancy measure is a distribution (every rho(s, a)
+  /// finite and >= -1e-9, summing to 1 within 1e-9).  A background re-solve
+  /// that comes back infeasible, unbounded or NaN-laden must be rejected by
+  /// the controller, never flipped into the live table the decision path
+  /// reads.
   bool valid_policy() const;
 };
 

@@ -104,7 +104,7 @@ ScenarioRunner::ScenarioRunner(Scenario scenario, FittedDetector detector,
                "scenario event outside the horizon");
     TOL_ENSURE(e.count >= 1 && e.duration >= 1, "malformed scenario event");
   }
-  if (options_.async_controller.value_or(scenario_.controller.async)) {
+  if (options_.async_controller.value_or(scenario_.controller.has_value())) {
     TOL_ENSURE(replication_.has_value() && cmdp_.has_value(),
                "async controller needs the CMDP strategy and model to "
                "re-solve in the background");
@@ -144,18 +144,12 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
   // level-2 step freezes outright for the fault window — the no-failsafe
   // baseline the controller bench degrades against.
   const bool use_async =
-      options_.async_controller.value_or(scenario_.controller.async);
+      options_.async_controller.value_or(scenario_.controller.has_value());
   const bool has_ctrl_events = has_controller_events(scenario_);
   std::unique_ptr<core::AsyncCmdpController> async;
   if (use_async) {
-    core::AsyncControllerConfig acfg;
-    acfg.resolve_period = scenario_.controller.resolve_period;
-    acfg.solve_latency_cycles = scenario_.controller.solve_latency_cycles;
-    acfg.staleness_budget = scenario_.controller.staleness_budget;
-    acfg.fallback_deadline = scenario_.controller.fallback_deadline;
-    acfg.retry_backoff_cycles = scenario_.controller.retry_backoff_cycles;
-    acfg.max_retry_backoff_cycles =
-        scenario_.controller.max_retry_backoff_cycles;
+    core::AsyncControllerConfig acfg =
+        scenario_.controller.value_or(core::AsyncControllerConfig{});
     // Deterministic lane: publishes land at fixed simulated cycles so
     // episodes stay bit-identical at any thread count.
     acfg.deterministic = true;
@@ -175,8 +169,6 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
   cfg.checkpoint_period = 10;
   cfg.view_change_timeout = 8.0;
   cfg.request_retry_timeout = 4.0;
-  cfg.batch_size = options_.consensus_batch_size;
-  cfg.pipeline_depth = options_.consensus_pipeline_depth;
   const bool has_flood = has_flood_events(scenario_);
   if (has_flood) {
     // Flood scenarios use a heavier crypto cost model so the scripted
@@ -225,7 +217,9 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
   }
   net::LinkConfig link;
   link.loss = 0.0;  // loss resilience is covered by the consensus suite
-  MinBftCluster cluster(scenario_.initial_nodes, cfg, seed ^ 0x5eed, link);
+  MinBftCluster cluster(scenario_.initial_nodes,
+                        options_.unbatched_consensus ? cfg.unbatched() : cfg,
+                        seed ^ 0x5eed, link);
   consensus::MinBftClient& probe = cluster.add_client();
   // Flood clients, one pool per flood event, created lazily at the event's
   // first active cycle.  RetryStorm pools retransmit aggressively (1 s),
@@ -703,7 +697,7 @@ ScenarioRunner make_scenario_runner(const Scenario& scenario,
       std::min(q_recover, 0.95));
   auto replication = solvers::solve_replication_lp(cmdp);
   std::optional<solvers::CmdpSolution> strategy;
-  if (replication.status == lp::LpStatus::Optimal) {
+  if (replication.valid_policy()) {
     strategy = std::move(replication);
   }
   return ScenarioRunner(scenario, std::move(detector), std::move(strategy),

@@ -281,9 +281,9 @@ std::vector<Scenario> build_catalog() {
   }
 
   // --- Controller-fault family (PR 9). -----------------------------------
-  // All four run the level-2 CMDP re-solver asynchronously
-  // (controller.async = true) and script faults against the *controller*
-  // rather than the replicas.  They keep the crash-wave style elevated
+  // All four run the level-2 CMDP re-solver asynchronously (they hold a
+  // controller config) and script faults against the *controller* rather
+  // than the replicas.  They keep the crash-wave style elevated
   // crash rates so the level-2 loop (evict crashed, add replacements)
   // actually matters: the inline/no-failsafe baseline — which freezes the
   // level-2 step for the fault window — measurably degrades, while the
@@ -294,7 +294,7 @@ std::vector<Scenario> build_catalog() {
     s.initial_nodes = 5;
     s.max_nodes = 9;
     s.horizon = 80;
-    s.controller.async = true;
+    s.controller.emplace();
     s.testbed.p_crash_healthy = 2e-3;
     s.testbed.p_crash_compromised = 2e-2;
     s.node_params.p_crash_healthy = 2e-3;
@@ -358,7 +358,7 @@ std::vector<Scenario> build_catalog() {
         "and jittered retries recover the epoch flow");
     // Cap the exponential backoff low enough that the sixth (good) solve
     // lands well inside the horizon even on the unluckiest jitter draws.
-    s.controller.max_retry_backoff_cycles = 6;
+    s.controller->max_retry_backoff_cycles = 6;
     ScenarioEvent failure;
     failure.step = 5;
     failure.kind = Kind::SolverFailure;
@@ -376,9 +376,9 @@ std::vector<Scenario> build_catalog() {
         "controller-slow-solve-churn",
         "4-cycle solve latency vs a 4-cycle staleness budget under crash "
         "churn; HOLD cycles without fallback");
-    s.controller.resolve_period = 6;
-    s.controller.solve_latency_cycles = 4;
-    s.controller.staleness_budget = 4;
+    s.controller->resolve_period = 6;
+    s.controller->solve_latency_cycles = 4;
+    s.controller->staleness_budget = 4;
     for (int step : {20, 21, 45}) {
       ScenarioEvent e;
       e.step = step;

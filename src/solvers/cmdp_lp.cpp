@@ -9,6 +9,10 @@ namespace tolerance::solvers {
 namespace {
 
 constexpr double kRandomizedEps = 1e-6;
+/// valid_policy(): slack on rho >= 0 and on sum rho = 1, far above the
+/// rounding of a converged solve and far below the mass error of an
+/// infeasible point reported as Optimal.
+constexpr double kOccupancyTol = 1e-9;
 
 }  // namespace
 
@@ -36,7 +40,16 @@ bool CmdpSolution::valid_policy() const {
   for (const double p : add_probability) {
     if (!std::isfinite(p) || p < 0.0 || p > 1.0) return false;
   }
-  return true;
+  // The occupancy must be a distribution (14c): the simplex can report
+  // Optimal for an infeasible point on near-degenerate kernels.
+  double mass = 0.0;
+  for (const auto& rho : occupancy) {
+    for (const double r : rho) {
+      if (!std::isfinite(r) || r < -kOccupancyTol) return false;
+      mass += r;
+    }
+  }
+  return std::abs(mass - 1.0) <= kOccupancyTol;
 }
 
 lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp) {

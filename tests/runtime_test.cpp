@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "tolerance/consensus/minbft_runtime.hpp"
+#include "tolerance/crypto/sha256.hpp"
 #include "tolerance/oracles/minbft_workload.hpp"
 #include "tolerance/net/async_runtime.hpp"
 #include "tolerance/net/profiles.hpp"
@@ -170,6 +172,40 @@ TEST(WireCodec, RoundTripsEveryMessageKind) {
   }
 }
 
+// The wire contract itself: length and SHA-256 of every fixture's encoding.
+// The round trip above cannot see a layout change made on both sides of the
+// codec; these pins can.
+TEST(WireCodec, EncodingsArePinned) {
+  struct Pin {
+    std::size_t size;
+    const char* sha256;
+  };
+  // In variant index order, as all_message_kinds() lists them.
+  const Pin pins[] = {
+      {43, "7f93b8f135417d69b883f9804d75c326880b1625283e6fe0ddba1f056f8d988f"},
+      {123, "54b17073ee37d29df0768fa7a6fda28e86004cb397032dce729116e28f4de824"},
+      {106, "dd68803d93f70dc928490ba09708916e5a6f12da7ae07b0ed9eb061b241f27ab"},
+      {43, "5063608657ac0575b44895998f9a7748b63c3af7c54ede579ab1c83d51e61a4f"},
+      {70, "2cfe72f979dc3dc96e0f30173fa154205d178c71e8a140a43b9f458a215357f1"},
+      {37, "9d53fbec7cc2ab4a070fb8ca2e4774ae0beacea2a4bdb2ca1e6a7adaed33a483"},
+      {301, "9c710487d66738f62cfc09f7b22155d0a9126306a8999eea075d0a0172b802d0"},
+      {762, "4be2e06130bdc213323ecb7f68af18ca06d5109de78b61001e22166d12d95e35"},
+      {3, "9a85a152a40c4d8d9ba2240795182900d68ac44739fe7ce30bddd4de6d8742d7"},
+      {249, "80c69792b64f27a2997351aee1225f2563b6831a8dd6aa537ed3d6689d1ea200"},
+      {3, "e1da5700e024a90bb1397ac130c30ade465931de32dab313ace3d97417471b0d"},
+      {123, "9f3968cf8cc435483e15d2b77260dce35575fc32a8511dde051a0449db0fa88a"},
+      {41, "fa1aed07dea58c75d4c5eefb8bca6b39f53c7d90d63d4e906b3f4621b26e9d24"},
+  };
+  const auto msgs = all_message_kinds();
+  ASSERT_EQ(msgs.size(), std::size(pins));
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const auto bytes = net::MinBftCodec::encode(msgs[i]);
+    EXPECT_EQ(bytes.size(), pins[i].size) << "variant index " << i;
+    EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(bytes)), pins[i].sha256)
+        << "variant index " << i;
+  }
+}
+
 // Decoding must be total: every truncation of a valid buffer, trailing
 // garbage, and an unknown tag yield nullopt, never UB or a throw.
 TEST(WireCodec, MalformedBuffersReturnNullopt) {
@@ -269,6 +305,44 @@ TEST(WireCodec, ForgedCountIsRejectedWithoutAllocating) {
   w.varint(0xffffffffff);  // request count: absurd
   const auto bytes = w.take();
   EXPECT_FALSE(net::MinBftCodec::decode(bytes).has_value());
+}
+
+// A field does not silently truncate a wider varint: a Commit whose 32-bit
+// replica id is 2^32 is rejected instead of decoding as replica 0, and a
+// ten-byte varint above 2^64 - 1 is rejected instead of losing its top bits.
+TEST(WireCodec, NarrowFieldOverflowIsRejected) {
+  consensus::Commit c;
+  c.view = 3;
+  c.seq = 17;
+  c.replica = 2;
+  c.batch_digest = test_digest(0x42);
+  c.leader_ui = test_ui(0, 17);
+  c.ui = test_ui(2, 9);
+  const auto bytes = net::MinBftCodec::encode(consensus::MinBftMsg{c});
+  ASSERT_TRUE(net::MinBftCodec::decode(bytes).has_value());
+  // tag, view (1 byte), seq (1 byte), then the replica varint (1 byte).
+  ASSERT_EQ(bytes[3], 2);
+  net::wire::Writer overflow;
+  overflow.varint(std::uint64_t{1} << 32);
+  const auto wide = overflow.take();
+  auto narrow = bytes;
+  narrow.erase(narrow.begin() + 3);
+  narrow.insert(narrow.begin() + 3, wide.begin(), wide.end());
+  EXPECT_FALSE(net::MinBftCodec::decode(narrow).has_value());
+
+  net::wire::Writer max;
+  max.varint(~std::uint64_t{0});  // nine 0xff bytes, then 0x01
+  const auto view_max = max.take();
+  ASSERT_EQ(view_max.size(), 10u);
+  ASSERT_EQ(view_max.back(), 1);
+  auto at_max = bytes;
+  at_max.erase(at_max.begin() + 1);  // the view varint (1 byte)
+  at_max.insert(at_max.begin() + 1, view_max.begin(), view_max.end());
+  const auto decoded = net::MinBftCodec::decode(at_max);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<consensus::Commit>(*decoded).view, ~std::uint64_t{0});
+  at_max[10] = 0x03;  // tenth byte: bits 63 and 64
+  EXPECT_FALSE(net::MinBftCodec::decode(at_max).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -464,15 +538,6 @@ TEST(AsyncRuntime, StopQuiescesUnderCrossTraffic) {
 // AuthBatching: per-destination authenticator coalescing on the wire
 // ---------------------------------------------------------------------------
 
-/// LEB128, matching the bundle header layout (frame count + per-frame len).
-void put_varint(net::wire::Bytes& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
 TEST(AuthBatching, FlushWindowCoalescesABurstBehindFewAuthenticators) {
   util::ThreadPool pool(4);
   StringRuntime::Options o = instant_options();
@@ -531,11 +596,12 @@ TEST(AuthBatching, ForgedOrMalformedBundlesAreRejectedWithoutDelivery) {
   // Structurally valid single-frame bundle whose 32-byte tag is wrong: the
   // authenticator check must drop the whole bundle before any frame decode.
   const auto payload = StringCodec::encode("evil");
-  net::wire::Bytes forged;
-  put_varint(forged, 1);
-  put_varint(forged, payload.size());
-  forged.insert(forged.end(), payload.begin(), payload.end());
-  forged.insert(forged.end(), 32, std::uint8_t{0});
+  net::wire::Writer w;
+  w.varint(1);  // frame count
+  w.varint(payload.size());
+  w.bytes(payload.data(), payload.size());
+  w.digest(crypto::Digest{});
+  const auto forged = w.take();
   rt.inject_frame(1, 2, forged);
   // Garbage that is not even a bundle: a decode error, not an auth failure.
   rt.inject_frame(1, 2, net::wire::Bytes{0xff, 0xff, 0xff});

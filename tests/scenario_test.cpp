@@ -147,9 +147,7 @@ TEST_P(ScenarioBatchParallel, BatchedMatchesUnbatchedAtAnyThreadCount) {
   const Scenario s = emulation::find_scenario(GetParam());
   ScenarioRunner::Options batched;  // defaults: batch_size 16, depth 4
   ScenarioRunner::Options unbatched;
-  unbatched.consensus_batch_size = 1;
-  unbatched.consensus_pipeline_depth =
-      consensus::MinBftConfig::kUnboundedPipeline;
+  unbatched.unbatched_consensus = true;
   const auto batched_runner =
       emulation::make_scenario_runner(s, 42, 60, batched);
   const std::vector<std::uint64_t> seeds{7};
@@ -411,9 +409,9 @@ TEST(ScenarioController, SlowSolveChurnHoldsWithoutFallback) {
     // ladder oscillates FRESH <-> HOLD and the failsafe stays sheathed.
     EXPECT_GT(on.controller_hold_cycles, 0L) << "seed " << seed;
     EXPECT_EQ(on.controller_fallback_cycles, 0L) << "seed " << seed;
-    EXPECT_LE(on.controller_max_staleness, s.controller.fallback_deadline)
+    EXPECT_LE(on.controller_max_staleness, s.controller->fallback_deadline)
         << "seed " << seed;
-    EXPECT_GT(on.controller_max_staleness, s.controller.staleness_budget)
+    EXPECT_GT(on.controller_max_staleness, s.controller->staleness_budget)
         << "seed " << seed;
     // No controller fault is scripted, so in FRESH/HOLD the async controller
     // consumes the decision RNG exactly like the inline solve: the episode

@@ -553,6 +553,43 @@ TEST(CmdpLp, InfeasibleWhenAvailabilityTargetImpossible) {
   EXPECT_EQ(sol.status, lp::LpStatus::Infeasible);
 }
 
+// The poison guard checks the occupancy itself, not only the solver's
+// status.  On the near-deterministic kernel below the revised simplex
+// reports Optimal for a point whose occupancy sums to ~1.05 (availability
+// > 1); perturbing a good solve off the simplex must fail the guard too.
+TEST(CmdpLp, NonDistributionOccupancyIsNotAValidPolicy) {
+  const auto mass = [](const CmdpSolution& sol) {
+    double total = 0.0;
+    for (const auto& rho : sol.occupancy) total += rho[0] + rho[1];
+    return total;
+  };
+  const auto odd = solve_replication_lp(
+      pomdp::SystemCmdp::parametric(13, 3, 0.9, 1e-3, 0.999, 0.0));
+  if (odd.valid_policy()) {
+    EXPECT_NEAR(mass(odd), 1.0, 1e-9) << "availability " << odd.availability;
+  }
+
+  const auto good = solve_replication_lp(
+      pomdp::SystemCmdp::parametric(10, 3, 0.9, 0.9, 0.3));
+  ASSERT_TRUE(good.valid_policy());
+  EXPECT_NEAR(mass(good), 1.0, 1e-12);
+  CmdpSolution scaled = good;
+  for (auto& rho : scaled.occupancy) {
+    for (double& r : rho) r *= 1.05;
+  }
+  EXPECT_FALSE(scaled.valid_policy());
+  CmdpSolution negative = good;  // still sums to 1
+  negative.occupancy[0][1] += negative.occupancy[0][0] + 1e-6;
+  negative.occupancy[0][0] = -1e-6;
+  EXPECT_FALSE(negative.valid_policy());
+  CmdpSolution nan = good;
+  nan.occupancy.back()[1] = std::nan("");
+  EXPECT_FALSE(nan.valid_policy());
+  CmdpSolution empty = good;
+  empty.occupancy.clear();
+  EXPECT_FALSE(empty.valid_policy());
+}
+
 TEST(CmdpLp, TighterAvailabilityCostsMore) {
   const auto loose = solve_replication_lp(
       pomdp::SystemCmdp::parametric(10, 3, 0.5, 0.9, 0.3));
