@@ -6,9 +6,14 @@
 //  * Fig. 9 column — the occupancy-measure LP of Algorithm 2 at the largest
 //    smax: the kernel build (SystemCmdp::parametric) against the dense
 //    oracle kernel, then the dense two-phase tableau solved from scratch
-//    versus the sparse revised simplex, cold (policy crash basis) and warm
-//    (re-solve from the previous optimal basis, the ScenarioRunner /
-//    epsilon_A-sweep / baseline Monte-Carlo workload).
+//    versus the sparse revised simplex, cold (never-add crash basis) and
+//    warm (re-solve from the previous optimal basis, the ScenarioRunner /
+//    epsilon_A-sweep / baseline Monte-Carlo workload).  Never-add meets
+//    epsilon_A on this instance, so the cold solve takes no pivot.  A
+//    binding instance at smax = 512 (q_recover = 1e-3: never-add falls
+//    short of epsilon_A) keeps a pivoting path in the record: its cold solve
+//    runs the dual repair to Thm. 2's threshold mixture, checked against
+//    the dense tableau.
 //  * Fig. 8 IP column — IncrementalPruning::solve_cycle at DeltaR = 25:
 //    the enumerate-and-prune backup versus the breakpoint-merge backup.
 //
@@ -94,6 +99,18 @@ int main(int argc, char** argv) {
   // path where a stale basis could silently produce a wrong "optimum".
   const auto drift_cold = solvers::solve_replication_lp(drifted);
 
+  // The binding instance: (14e) binds, so the cold solve pivots.
+  constexpr int kBindingSmax = 512;
+  const auto binding_cmdp = pomdp::SystemCmdp::parametric(
+      kBindingSmax, 3, 0.9, 0.9, 1e-3, 1e-4);
+  clock.reset();
+  const auto binding_dense =
+      oracles::dense_simplex(solvers::replication_lp(binding_cmdp));
+  const double t_binding_dense = clock.elapsed_seconds();
+  clock.reset();
+  const auto binding = solvers::solve_replication_lp(binding_cmdp);
+  const double t_binding_cold = clock.elapsed_seconds();
+
   const bool lp_ok =
       dense.status == lp::LpStatus::Optimal &&
       cold.status == lp::LpStatus::Optimal &&
@@ -105,7 +122,11 @@ int main(int argc, char** argv) {
       std::fabs(warm.average_cost - dense.objective) <=
           1e-6 * (1.0 + dense.objective) &&
       std::fabs(drift_sol.average_cost - drift_cold.average_cost) <=
-          1e-6 * (1.0 + drift_cold.average_cost);
+          1e-6 * (1.0 + drift_cold.average_cost) &&
+      binding_dense.status == lp::LpStatus::Optimal &&
+      binding.status == lp::LpStatus::Optimal &&
+      std::fabs(binding.average_cost - binding_dense.objective) <=
+          1e-6 * (1.0 + binding_dense.objective);
   const double lp_cold_speedup = t_dense / std::max(t_cold, 1e-9);
   const double lp_warm_speedup = t_dense / std::max(t_warm, 1e-9);
 
@@ -135,6 +156,16 @@ int main(int argc, char** argv) {
                     std::to_string(warm.lp_eta_nnz),
                     ConsoleTable::num(warm.average_cost, 2),
                     ConsoleTable::num(lp_warm_speedup, 2)});
+  lp_table.add_row({std::to_string(kBindingSmax), "binding dense",
+                    ConsoleTable::num(t_binding_dense, 3),
+                    std::to_string(binding_dense.iterations), "-",
+                    ConsoleTable::num(binding_dense.objective, 2), "1.00"});
+  lp_table.add_row({"", "binding cold", ConsoleTable::num(t_binding_cold, 3),
+                    std::to_string(binding.lp_iterations),
+                    std::to_string(binding.lp_eta_nnz),
+                    ConsoleTable::num(binding.average_cost, 2),
+                    ConsoleTable::num(
+                        t_binding_dense / std::max(t_binding_cold, 1e-9), 2)});
   lp_table.print(std::cout);
 
   // --- Fig. 8: IncrementalPruning at DeltaR = 25 ---------------------------
@@ -196,6 +227,12 @@ int main(int argc, char** argv) {
       << "    \"seconds_warm_kernel_drift\": " << t_warm_drift << ",\n"
       << "    \"cold_speedup\": " << lp_cold_speedup << ",\n"
       << "    \"warm_speedup\": " << lp_warm_speedup << ",\n"
+      << "    \"binding_smax\": " << kBindingSmax << ",\n"
+      << "    \"binding_seconds_dense_scratch\": " << t_binding_dense << ",\n"
+      << "    \"binding_pivots_dense\": " << binding_dense.iterations << ",\n"
+      << "    \"binding_seconds_revised_cold\": " << t_binding_cold << ",\n"
+      << "    \"binding_pivots_revised_cold\": " << binding.lp_iterations
+      << ",\n"
       << "    \"optima_match\": " << (lp_ok ? "true" : "false") << "\n"
       << "  },\n"
       << "  \"fig8_ip\": {\n"

@@ -33,7 +33,8 @@ RUN_NAME = re.compile(r"^(parent|change)-([a-z0-9-]+?)-(\d+)(-trace)?\.txt$")
 # Per-layer metrics a traced run contributes, per workload.
 TRACED = {
     "level2-resolve": ("pomdp.kernel_build_ms", "solvers.lp_warm_ms",
-                       "lp.pivots_per_cold_solve", "lp.eta_nnz"),
+                       "solvers.lp_cold_ms", "lp.pivots_per_cold_solve",
+                       "lp.eta_nnz"),
     # The wire codec's share: encoding runs inside the send span, decoding
     # and bundle verification inside the runtime residual.
     "service-peak": ("net.bytes_per_op", "net.send_us_per_op",

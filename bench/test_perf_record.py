@@ -95,6 +95,7 @@ class RecordTest(unittest.TestCase):
                  ).write_text(run_text({
                      "pomdp.kernel_build_ms": 3.0,
                      "solvers.lp_warm_ms": 1.0,
+                     "solvers.lp_cold_ms": 7.5,
                      "lp.pivots_per_cold_solve": 129,
                      "lp.eta_nnz": eta}))
             rec = perf_record.build_record(perf_record.load_runs(d),
@@ -105,6 +106,32 @@ class RecordTest(unittest.TestCase):
                          {"parent": [7709.689], "change": [7709.692]})
         self.assertEqual(
             traced["metrics"]["lp.pivots_per_cold_solve"]["change"], [129])
+        self.assertEqual(perf_record.check([rec]), [])
+
+    def test_traced_level2_keeps_the_cold_solve_time(self):
+        # A cold re-solve's saving shows in lp_cold_ms, not in the warm
+        # p50; the record keeps it per seed beside the pivot count.
+        with tempfile.TemporaryDirectory() as d:
+            for side, cold_ms, pivots in (("parent", 7.51, 129),
+                                          ("change", 0.79, 0)):
+                (pathlib.Path(d) / f"{side}-level2-resolve-2-trace.txt"
+                 ).write_text(run_text({
+                     "pomdp.kernel_build_ms": 0.27,
+                     "solvers.lp_warm_ms": 0.87,
+                     "solvers.lp_cold_ms": cold_ms,
+                     "lp.pivots_per_cold_solve": pivots,
+                     "lp.eta_nnz": 7716.988,
+                     "core.publish_us": 3.0}))
+            rec = perf_record.build_record(perf_record.load_runs(d),
+                                           END_TO_END, "PR 1", "abc", "h")
+        traced = rec["workloads"]["level2-resolve"]["traced"]
+        self.assertEqual(set(traced["metrics"]),
+                         set(perf_record.TRACED["level2-resolve"]))
+        self.assertEqual(traced["metrics"]["solvers.lp_cold_ms"],
+                         {"parent": [7.51], "change": [0.79]})
+        self.assertEqual(
+            traced["metrics"]["lp.pivots_per_cold_solve"],
+            {"parent": [129], "change": [0]})
         self.assertEqual(perf_record.check([rec]), [])
 
     def test_traced_service_peak_keeps_the_codec_layers(self):

@@ -81,9 +81,13 @@ lp::LinearProgram replication_lp(const pomdp::SystemCmdp& cmdp);
 /// `warm` (optional) seeds the simplex with a basis from a previous solve of
 /// a same-shaped CMDP (same smax; epsilon_A / kernel may differ) — see
 /// CmdpSolution::basis.  Without a caller basis the solver crashes its own
-/// start from the always-add policy: the stationary support of a
-/// deterministic policy is a known feasible vertex of the occupancy
-/// polytope, so the solve usually skips simplex phase 1 outright.
+/// start from the never-add policy rho(s, 0).  Its stationary occupancy is a
+/// vertex of the flow polytope, and because adding a node only shifts the
+/// next state up, the basis is dual feasible on monotone kernels (Thm. 1):
+/// if never-add meets epsilon_A the solve is optimal after one
+/// factorization, otherwise dual-simplex repair raises the add threshold
+/// until (14e) binds at Thm. 2's mixture.  Non-monotone kernels fall through
+/// to primal phase 2, an exhausted repair to a from-scratch phase 1.
 CmdpSolution solve_replication_lp(
     const pomdp::SystemCmdp& cmdp,
     lp::SimplexSolver::Options lp_options = {},

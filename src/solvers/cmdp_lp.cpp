@@ -145,15 +145,24 @@ CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
   const lp::LinearProgram program = replication_lp(cmdp);
   const lp::SimplexSolver solver(lp_options);
   // Starting basis: the caller's warm basis if given, else a policy crash
-  // basis — the occupancy columns rho(s, 1) of the always-add policy (one
-  // per state), the availability surplus, and a zero artificial parking the
-  // one redundant flow row (flow + normalization rows are rank-deficient by
-  // one).  If the crash turns out infeasible or singular the solver falls
-  // back to a from-scratch phase 1 on its own.
+  // basis — the occupancy columns rho(s, 0) of the never-add policy (one
+  // per state), the floor aggregate z, the availability surplus, and a zero
+  // artificial parking the one redundant flow row (flow + normalization
+  // rows are rank-deficient by one).  The objective is E[s] and a = 1 only
+  // shifts the next state up by one, so this basis prices every add column
+  // at a reduced cost >= 0 whenever one more healthy node never lowers the
+  // long-run node count (Thm. 1's monotone kernels): it is dual feasible.
+  // If never-add meets epsilon_A the solve is optimal after one
+  // factorization; if not, the surplus is negative and the solver's dual
+  // repair raises the threshold until (14e) binds, stopping at Thm. 2's
+  // (beta1, beta2, kappa) mixture.  A kernel that breaks the monotone
+  // premise still reaches the optimum through primal phase 2, and a repair
+  // that runs out of budget (or a singular crash) through the solver's own
+  // from-scratch phase 1.
   lp::SimplexBasis crash;
   if (warm == nullptr) {
     crash.basic.reserve(static_cast<std::size_t>(n + 3));
-    for (int s = 0; s < n; ++s) crash.basic.push_back(2 * s + 1);
+    for (int s = 0; s < n; ++s) crash.basic.push_back(2 * s);
     crash.basic.push_back(2 * n);               // floor aggregate z
     const int num_vars = 2 * n + 1;
     crash.basic.push_back(num_vars + 1);        // artificial, flow row of s=0

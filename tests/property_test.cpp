@@ -12,6 +12,7 @@
 #include "tolerance/core/node_controller.hpp"
 #include "tolerance/core/system_controller.hpp"
 #include "tolerance/markov/chain.hpp"
+#include "tolerance/oracles/dense_simplex.hpp"
 #include "tolerance/pomdp/assumptions.hpp"
 #include "tolerance/pomdp/belief.hpp"
 #include "tolerance/solvers/cmdp_lp.hpp"
@@ -143,10 +144,17 @@ TEST_P(CmdpGrid, SolutionSatisfiesConstraintsAndMixtureStructure) {
   // Crash-heavy regime so additions matter.
   const auto cmdp = pomdp::SystemCmdp::parametric(smax, f, eps_a, 0.88, 0.05);
   const auto sol = solvers::solve_replication_lp(cmdp);
+  const auto dense = oracles::dense_simplex(solvers::replication_lp(cmdp));
   if (sol.status != lp::LpStatus::Optimal) {
-    // Availability target genuinely unreachable for this (smax, f).
+    // Skip only an availability target the dense tableau also finds
+    // unreachable for this (smax, f); a stall is a failure.
+    ASSERT_EQ(sol.status, lp::LpStatus::Infeasible);
+    ASSERT_EQ(dense.status, lp::LpStatus::Infeasible);
     GTEST_SKIP() << "infeasible instance";
   }
+  ASSERT_EQ(dense.status, lp::LpStatus::Optimal);
+  EXPECT_NEAR(sol.average_cost, dense.objective,
+              1e-8 * (1.0 + dense.objective));
   // (14c): occupancy sums to one.
   double total = 0.0;
   for (const auto& rho : sol.occupancy) total += rho[0] + rho[1];

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <tuple>
 
 #include "tolerance/oracles/dense_kernel.hpp"
 #include "tolerance/oracles/dense_simplex.hpp"
@@ -545,6 +547,72 @@ TEST(CmdpLp, PolicyHasThresholdMixtureStructure) {
   EXPECT_LE(sol.beta1, sol.beta2);
 }
 
+// Thm. 2's thresholds read off an occupancy rho(s, a) = x[2s + a] of the
+// dense tableau: beta2 is the largest visited state that adds at all, beta1
+// the largest that always adds, kappa the add probability of the one
+// randomized state.
+struct Mixture {
+  int beta1 = -1;
+  int beta2 = -1;
+  double kappa = 1.0;
+};
+
+Mixture dense_mixture(const lp::LpSolution& dense, int num_states) {
+  constexpr double kVisited = 1e-6;
+  Mixture m;
+  for (int s = 0; s < num_states; ++s) {
+    const double keep = std::max(0.0, dense.x[static_cast<std::size_t>(2 * s)]);
+    const double add =
+        std::max(0.0, dense.x[static_cast<std::size_t>(2 * s + 1)]);
+    if (keep + add <= kVisited) continue;
+    const double p = add / (keep + add);
+    if (p > kVisited) m.beta2 = s;
+    if (p >= 1.0 - kVisited) m.beta1 = s;
+    if (p > kVisited && p < 1.0 - kVisited) m.kappa = p;
+  }
+  return m;
+}
+
+// Without a caller basis the solve crashes from the never-add policy
+// rho(s, 0).  Where never-add already meets epsilon_A (the level-2 operating
+// point) that crash is the optimum: one factorization, no pivot.  Where
+// (14e) binds, dual repair raises the add threshold to Thm. 2's mixture,
+// the dense tableau's optimum.
+TEST(CmdpLp, ColdSolveStartsFromTheNeverAddPolicy) {
+  const auto slack = pomdp::SystemCmdp::parametric(
+      128, 3, 0.9, 0.9 * (1.0 - 1e-5), 0.02 + 0.2 * 0.76);
+  const auto sol = solve_replication_lp(slack);
+  ASSERT_EQ(sol.status, lp::LpStatus::Optimal);
+  EXPECT_EQ(sol.lp_iterations, 0);
+  EXPECT_EQ(sol.warm_start, lp::WarmStart::PrimalReuse);
+  EXPECT_EQ(sol.beta1, -1);
+  EXPECT_EQ(sol.beta2, -1);
+  const auto oracle = oracles::dense_simplex(replication_lp(slack));
+  ASSERT_EQ(oracle.status, lp::LpStatus::Optimal);
+  EXPECT_NEAR(sol.average_cost, oracle.objective,
+              1e-8 * (1.0 + oracle.objective));
+
+  for (const auto& [smax, f, q_healthy] :
+       {std::tuple{10, 3, 0.85}, std::tuple{13, 1, 0.88}}) {
+    const auto cmdp =
+        pomdp::SystemCmdp::parametric(smax, f, 0.9, q_healthy, 0.02);
+    const auto binding = solve_replication_lp(cmdp);
+    const auto dense = oracles::dense_simplex(replication_lp(cmdp));
+    const std::string where = "smax=" + std::to_string(smax);
+    ASSERT_EQ(binding.status, lp::LpStatus::Optimal) << where;
+    ASSERT_EQ(dense.status, lp::LpStatus::Optimal) << where;
+    EXPECT_EQ(binding.warm_start, lp::WarmStart::DualRepair) << where;
+    EXPECT_NEAR(binding.average_cost, dense.objective,
+                1e-8 * (1.0 + dense.objective))
+        << where;
+    EXPECT_NEAR(binding.availability, 0.9, 1e-7) << where;
+    const Mixture expected = dense_mixture(dense, cmdp.num_states());
+    EXPECT_EQ(binding.beta1, expected.beta1) << where;
+    EXPECT_EQ(binding.beta2, expected.beta2) << where;
+    EXPECT_NEAR(binding.kappa, expected.kappa, 1e-6) << where;
+  }
+}
+
 TEST(CmdpLp, InfeasibleWhenAvailabilityTargetImpossible) {
   // A kernel that decays to 0 healthy nodes cannot hit 99.9% availability
   // with f + 1 = 6 healthy required.
@@ -554,9 +622,11 @@ TEST(CmdpLp, InfeasibleWhenAvailabilityTargetImpossible) {
 }
 
 // The poison guard checks the occupancy itself, not only the solver's
-// status.  On the near-deterministic kernel below the revised simplex
-// reports Optimal for a point whose occupancy sums to ~1.05 (availability
-// > 1); perturbing a good solve off the simplex must fail the guard too.
+// status.  The near-deterministic kernel below came back Optimal with an
+// occupancy summing to ~1.05 (availability > 1) from the always-add crash;
+// from the never-add crash it solves to a distribution (availability 0.954,
+// cost 6.5).  Whatever the simplex returns there, a valid policy carries
+// unit mass, and perturbing a good solve off the simplex fails the guard.
 TEST(CmdpLp, NonDistributionOccupancyIsNotAValidPolicy) {
   const auto mass = [](const CmdpSolution& sol) {
     double total = 0.0;
@@ -679,43 +749,56 @@ INSTANTIATE_TEST_SUITE_P(Smax, SystemCmdpDifferential,
 
 // The LP of the sparse build against the LP of the same kernel built densely
 // (SystemCmdp's dense constructor splits each oracle row at its minimum):
-// same status, the same optimum, the same number of pivots.  The LP half of
-// the grid keeps the kernels the revised simplex solves reliably: full
-// support (mix > 0), q_healthy >= 0.3 and smax <= 128.  With q in {0, 1},
-// mix = 0 or q_healthy = 1e-3 the chain is nearly deterministic or
-// periodic, and on some instances the simplex stalls at its iteration limit
-// or returns an infeasible point, at the parent's dense build too;
+// same status, the same optimum, the same number of pivots, and every
+// Optimal result a valid policy.  Up to smax = 13 the whole grid runs,
+// including the degenerate kernels (q in {0, 1} or mix = 0), whose chains
+// are nearly deterministic or periodic: a solver that stalls at its
+// iteration limit or returns an infeasible point fails here.  At smax = 128
+// the grid keeps the kernels with full support (mix > 0) and
+// q_healthy >= 0.3: near-periodic kernels there still stall (q_healthy = 0,
+// q_recover = 0.9, mix = 0 hits the iteration limit on the sparse build,
+// q_healthy = 1e-3, q_recover = 0.9, mix = 1e-4 on both builds);
 // bench_solver_perf checks the smax = 512 LP.
 TEST_F(SystemCmdpDifferential, LpMatchesTheDenseOracleKernel) {
   int optimal = 0;
-  for (const int smax : {1, 2, 9, 13, 128}) {
-    for (const double qh : {0.3, 0.9, 0.999}) {
-      for (const double qr : {1e-3, 0.3, 0.9, 0.999}) {
-        for (const double mix : {1e-4, 0.05}) {
-          const auto sparse =
-              solve_replication_lp(pomdp::SystemCmdp::parametric(
-                  smax, grid_f(smax), kGridEpsilon, qh, qr, mix));
-          const auto dense =
-              oracles::dense_parametric_kernel(smax, qh, qr, mix);
-          const auto oracle = solve_replication_lp(pomdp::SystemCmdp(
-              smax, grid_f(smax), kGridEpsilon, dense[0], dense[1]));
-          const std::string where = "smax=" + std::to_string(smax) +
-                                    " q_healthy=" + std::to_string(qh) +
-                                    " q_recover=" + std::to_string(qr) +
-                                    " mix=" + std::to_string(mix);
-          ASSERT_EQ(sparse.status, oracle.status) << where;
-          if (oracle.status != lp::LpStatus::Optimal) continue;
-          ++optimal;
-          EXPECT_NEAR(sparse.average_cost, oracle.average_cost, 1e-9)
-              << where;
-          EXPECT_NEAR(sparse.availability, oracle.availability, 1e-9)
-              << where;
-          EXPECT_EQ(sparse.lp_iterations, oracle.lp_iterations) << where;
-        }
+  int infeasible = 0;
+  const auto check = [&](int smax, double qh, double qr, double mix) {
+    const auto sparse = solve_replication_lp(pomdp::SystemCmdp::parametric(
+        smax, grid_f(smax), kGridEpsilon, qh, qr, mix));
+    const auto dense = oracles::dense_parametric_kernel(smax, qh, qr, mix);
+    const auto oracle = solve_replication_lp(pomdp::SystemCmdp(
+        smax, grid_f(smax), kGridEpsilon, dense[0], dense[1]));
+    const std::string where = "smax=" + std::to_string(smax) +
+                              " q_healthy=" + std::to_string(qh) +
+                              " q_recover=" + std::to_string(qr) +
+                              " mix=" + std::to_string(mix);
+    ASSERT_EQ(sparse.status, oracle.status) << where;
+    if (oracle.status != lp::LpStatus::Optimal) {
+      EXPECT_EQ(oracle.status, lp::LpStatus::Infeasible) << where;
+      ++infeasible;
+      return;
+    }
+    ++optimal;
+    EXPECT_TRUE(sparse.valid_policy()) << where;
+    EXPECT_TRUE(oracle.valid_policy()) << where;
+    EXPECT_NEAR(sparse.average_cost, oracle.average_cost, 1e-9) << where;
+    EXPECT_NEAR(sparse.availability, oracle.availability, 1e-9) << where;
+    EXPECT_EQ(sparse.lp_iterations, oracle.lp_iterations) << where;
+  };
+  for (const int smax : {1, 2, 9, 13}) {
+    for (const double qh : kGridQ) {
+      for (const double qr : kGridQ) {
+        for (const double mix : kGridMix) check(smax, qh, qr, mix);
       }
     }
   }
+  for (const double qh : {0.3, 0.9, 0.999}) {
+    for (const double qr : {1e-3, 0.3, 0.9, 0.999}) {
+      for (const double mix : {1e-4, 0.05}) check(128, qh, qr, mix);
+    }
+  }
   EXPECT_GT(optimal, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST_F(SystemCmdpDifferential, PmfVectorMatchesTheClosedForm) {
