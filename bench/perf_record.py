@@ -35,9 +35,11 @@ TRACED = {
     "level2-resolve": ("pomdp.kernel_build_ms", "solvers.lp_warm_ms",
                        "solvers.lp_cold_ms", "lp.pivots_per_cold_solve",
                        "lp.eta_nnz"),
-    # The wire codec's share: encoding runs inside the send span, decoding
-    # and bundle verification inside the runtime residual.
-    "service-peak": ("net.bytes_per_op", "net.send_us_per_op",
+    # Every layer that adds up to CPU per op: replica and client handlers,
+    # the send span (encoding included) and the runtime residual (decoding
+    # and bundle verification included), plus the bytes on the wire.
+    "service-peak": ("net.bytes_per_op", "consensus.replica_self_us_per_op",
+                     "consensus.client_self_us_per_op", "net.send_us_per_op",
                      "net.runtime_residual_us_per_op"),
 }
 METRIC_KEYS = {"unit", "better", "parent_median", "change_median", "ratio",

@@ -136,7 +136,9 @@ class RecordTest(unittest.TestCase):
 
     def test_traced_service_peak_keeps_the_codec_layers(self):
         codec = {"net.bytes_per_op": 2950.5, "net.send_us_per_op": 41.0,
-                 "net.runtime_residual_us_per_op": 39.5}
+                 "net.runtime_residual_us_per_op": 39.5,
+                 "consensus.replica_self_us_per_op": 66.0,
+                 "consensus.client_self_us_per_op": 9.5}
         with tempfile.TemporaryDirectory() as d:
             for side in perf_record.SIDES:
                 (pathlib.Path(d) / f"{side}-service-peak-3-trace.txt"
@@ -150,6 +152,38 @@ class RecordTest(unittest.TestCase):
         for name, value in codec.items():
             self.assertEqual(traced["metrics"][name],
                              {"parent": [value], "change": [value]})
+        self.assertEqual(perf_record.check([rec]), [])
+
+
+    def test_traced_service_peak_keeps_every_cpu_layer(self):
+        # Replica, client, send and residual add up to CPU per op, so the
+        # record keeps each of them per seed and side.
+        layers = {"parent": {"consensus.replica_self_us_per_op": 108.0,
+                             "consensus.client_self_us_per_op": 13.7,
+                             "net.send_us_per_op": 57.0,
+                             "net.runtime_residual_us_per_op": 52.0,
+                             "net.bytes_per_op": 1619.0},
+                  "change": {"consensus.replica_self_us_per_op": 64.0,
+                             "consensus.client_self_us_per_op": 10.2,
+                             "net.send_us_per_op": 38.0,
+                             "net.runtime_residual_us_per_op": 30.0,
+                             "net.bytes_per_op": 1610.0}}
+        with tempfile.TemporaryDirectory() as d:
+            for side in perf_record.SIDES:
+                for seed in (61, 62):
+                    (pathlib.Path(d) / f"{side}-service-peak-{seed}-trace.txt"
+                     ).write_text(run_text(layers[side]))
+            rec = perf_record.build_record(perf_record.load_runs(d),
+                                           END_TO_END, "PR 1", "abc", "h")
+        traced = rec["workloads"]["service-peak"]["traced"]
+        self.assertEqual(traced["seeds"], [61, 62])
+        for name in ("consensus.replica_self_us_per_op",
+                     "consensus.client_self_us_per_op",
+                     "net.send_us_per_op", "net.runtime_residual_us_per_op"):
+            self.assertIn(name, perf_record.TRACED["service-peak"])
+            self.assertEqual(traced["metrics"][name],
+                             {side: [layers[side][name]] * 2
+                              for side in perf_record.SIDES})
         self.assertEqual(perf_record.check([rec]), [])
 
 

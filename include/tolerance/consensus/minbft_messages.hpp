@@ -31,9 +31,10 @@ using ClientId = net::NodeId;
 using View = std::uint64_t;
 using SeqNum = std::uint64_t;
 
-/// Running totals for the digest memoization (process-wide, for the micro
-/// bench and tests): `computed` body digests actually hashed, `saved`
-/// digest requests served from the memo without touching SHA-256.
+/// Running totals of this thread's digest memoization (for the micro bench
+/// and tests): `computed` body digests actually hashed, `saved` digest
+/// requests served from the memo without touching SHA-256.  Per thread, so
+/// event loops on different threads share no counter.
 struct DigestMemoStats {
   std::uint64_t computed = 0;
   std::uint64_t saved = 0;

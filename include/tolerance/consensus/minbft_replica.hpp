@@ -38,6 +38,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 
 #include "tolerance/consensus/admission.hpp"
 #include "tolerance/consensus/minbft_messages.hpp"
@@ -522,7 +523,9 @@ class MinBftReplica {
   crypto::UsigVerifyCache usig_cache_;
   /// Digests of requests whose client signature already verified — a batch
   /// whose requests all arrived via REQUEST broadcasts re-verifies nothing.
-  std::set<crypto::Digest, std::less<crypto::Digest>> verified_requests_;
+  /// Clients choose the digests, so the table hashes them through a seed
+  /// derived from this replica's key seed.
+  std::unordered_set<crypto::Digest, crypto::DigestHash> verified_requests_;
 };
 
 }  // namespace tolerance::consensus

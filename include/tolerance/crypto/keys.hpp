@@ -34,6 +34,7 @@ class KeyRegistry {
   /// Signer can be constructed.  Re-registering with a different seed
   /// rotates the key; re-registering with the same seed is a no-op (no
   /// write), so a restarted node can re-register while other threads read.
+  /// Only one thread may register at a time.
   std::string register_principal(PrincipalId id, std::uint64_t seed);
 
   bool known(PrincipalId id) const;
@@ -48,24 +49,23 @@ class KeyRegistry {
   static constexpr double kVerifyCost = 6.0e-5;
 
  private:
-  std::unordered_map<PrincipalId, std::string> secrets_;
+  std::unordered_map<PrincipalId, HmacKey> keys_;
 };
 
-/// Holds a principal's secret and signs messages with it.
+/// Holds a principal's key and signs messages with it.
 class Signer {
  public:
-  Signer(PrincipalId id, std::string secret)
-      : id_(id), secret_(std::move(secret)) {}
+  Signer(PrincipalId id, std::string_view secret) : id_(id), key_(secret) {}
 
   PrincipalId id() const { return id_; }
 
   Signature sign(std::string_view message) const {
-    return Signature{id_, hmac_sha256(secret_, message)};
+    return Signature{id_, key_.tag(message)};
   }
 
  private:
   PrincipalId id_;
-  std::string secret_;
+  HmacKey key_;
 };
 
 }  // namespace tolerance::crypto

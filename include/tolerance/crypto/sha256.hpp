@@ -5,10 +5,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace tolerance::crypto {
@@ -28,24 +29,70 @@ class Sha256 {
   static Digest hash(std::string_view s);
   static Digest hash(const std::vector<std::uint8_t>& bytes);
 
-  /// Process-wide count of digests computed (finalize() calls).  Lets the
-  /// micro bench put a number on work avoided by memoized message digests.
-  static std::uint64_t invocations() {
-    return invocation_count_.load(std::memory_order_relaxed);
-  }
-  static void reset_invocations() {
-    invocation_count_.store(0, std::memory_order_relaxed);
-  }
+  /// Count of digests this thread has computed (finalize() calls).  Lets
+  /// the micro bench put a number on work avoided by memoized message
+  /// digests; per thread, so hashing on an event loop touches no shared
+  /// cache line.
+  static std::uint64_t invocations();
+  static void reset_invocations();
 
  private:
+  friend class HmacKey;
+  using State = std::array<std::uint32_t, 8>;
+
+  /// Resumes a hash whose first `prefix_len` bytes (a whole number of
+  /// blocks) left the chaining state `state`.
+  Sha256(const State& state, std::uint64_t prefix_len)
+      : state_(state), total_len_(prefix_len) {}
+
   void process_block(const std::uint8_t* block);
 
-  static std::atomic<std::uint64_t> invocation_count_;
-
-  std::array<std::uint32_t, 8> state_;
+  State state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
+};
+
+/// Builds a signed string or digest preimage in one reserved buffer:
+/// decimal numbers and digest hex are written in place, never through a
+/// temporary string.
+class TextBuilder {
+ public:
+  explicit TextBuilder(std::size_t capacity) { out_.reserve(capacity); }
+
+  TextBuilder& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+  TextBuilder& operator<<(char c) {
+    out_.push_back(c);
+    return *this;
+  }
+  /// Decimal digits, as std::to_string writes them.
+  template <class T>
+    requires std::is_unsigned_v<T>
+  TextBuilder& operator<<(T v) {
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+    out_.append(digits, end);
+    return *this;
+  }
+  /// Lowercase hex.
+  TextBuilder& operator<<(const Digest& d) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    const std::size_t at = out_.size();
+    out_.resize(at + 2 * d.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      out_[at + 2 * i] = kHex[d[i] >> 4];
+      out_[at + 2 * i + 1] = kHex[d[i] & 0xf];
+    }
+    return *this;
+  }
+
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
 };
 
 /// Lowercase hex encoding of a digest.
@@ -53,5 +100,33 @@ std::string to_hex(const Digest& d);
 
 /// Constant-time digest comparison.
 bool digest_equal(const Digest& a, const Digest& b);
+
+/// Folds `word` into the hash `h` through the 64-bit MurmurHash3
+/// finalizer.  Hash containers keyed by values an adversary picks (request
+/// digests, Byzantine replicas' USIG identifiers) start `h` at a seed their
+/// owner keeps private, so nobody can aim many keys at one bucket.
+inline std::uint64_t seeded_mix(std::uint64_t h, std::uint64_t word) {
+  h ^= word;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Seeded hash of a digest, for std::unordered_set / unordered_map.
+struct DigestHash {
+  std::uint64_t seed = 0;
+  std::size_t operator()(const Digest& d) const {
+    std::uint64_t h = seed;
+    for (std::size_t i = 0; i < d.size(); i += 8) {
+      std::uint64_t word = 0;
+      for (std::size_t j = 0; j < 8; ++j) word = (word << 8) | d[i + j];
+      h = seeded_mix(h, word);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 }  // namespace tolerance::crypto

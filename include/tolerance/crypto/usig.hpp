@@ -10,11 +10,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 
+#include "tolerance/crypto/hmac.hpp"
 #include "tolerance/crypto/keys.hpp"
 #include "tolerance/crypto/sha256.hpp"
 
@@ -43,8 +45,8 @@ class Usig {
   /// layer increments it when it re-instantiates a replica's trusted
   /// component (recover/join), which is what lets the fresh counter sequence
   /// supersede the old one at verifiers.
-  Usig(PrincipalId replica, std::string secret, std::uint64_t epoch = 0)
-      : replica_(replica), secret_(std::move(secret)), epoch_(epoch) {}
+  Usig(PrincipalId replica, std::string_view secret, std::uint64_t epoch = 0)
+      : replica_(replica), key_(secret), epoch_(epoch) {}
 
   PrincipalId replica() const { return replica_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -65,7 +67,7 @@ class Usig {
                                          const Digest& digest);
 
   PrincipalId replica_;
-  std::string secret_;
+  HmacKey key_;
   std::uint64_t epoch_ = 0;
   std::uint64_t counter_ = 0;
 };
@@ -79,11 +81,15 @@ class Usig {
 /// verified, so a replayed counter with different content always misses.
 ///
 /// Deterministic bounded memory: entries are evicted in insertion order once
-/// `capacity` is exceeded.  Not thread-safe; each replica owns one.
+/// `capacity` is exceeded.  Byzantine replicas choose the identifiers, so
+/// the table hashes them through `hash_seed`, which its owner keeps private.
+/// Not thread-safe; each replica owns one.
 class UsigVerifyCache {
  public:
-  explicit UsigVerifyCache(std::size_t capacity = 4096)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit UsigVerifyCache(std::size_t capacity = 4096,
+                           std::uint64_t hash_seed = 0)
+      : capacity_(capacity == 0 ? 1 : capacity),
+        entries_(0, KeyHash{hash_seed}) {}
 
   /// Cached verdict for `ui` over `digest`, or nullopt on miss.
   std::optional<bool> lookup(const UniqueIdentifier& ui, const Digest& digest) {
@@ -130,12 +136,21 @@ class UsigVerifyCache {
     bool ok = false;
   };
 
+  struct KeyHash {
+    std::uint64_t seed = 0;
+    std::size_t operator()(const Key& k) const {
+      return static_cast<std::size_t>(seeded_mix(
+          seeded_mix(seeded_mix(seed, std::get<0>(k)), std::get<1>(k)),
+          std::get<2>(k)));
+    }
+  };
+
   static Key key(const UniqueIdentifier& ui) {
     return {ui.replica, ui.epoch, ui.counter};
   }
 
   std::size_t capacity_;
-  std::map<Key, Entry> entries_;
+  std::unordered_map<Key, Entry, KeyHash> entries_;
   std::deque<Key> order_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

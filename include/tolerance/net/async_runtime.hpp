@@ -22,11 +22,13 @@
 // Timers are monotonic wall-clock (std::chrono::steady_clock), fired by a
 // dedicated timer thread that also releases delay-shaped frames.  Timer ids
 // share SimNetwork's cancellation semantics: cancel is a no-op for dead
-// ids, live-id tracking keeps the cancelled set bounded.
+// ids.  A live timer is indexed by id, so cancel takes it out of the queue
+// at once, and unregistering a host drops every timer it owns.
 //
 // Authenticator batching (the wall-clock fast path): every frame travels
 // inside a bundle authenticated by one HMAC-SHA256 tag under a per-directed-
-// pair link key (modelling pre-shared session keys).  With flush_window = 0
+// pair link key (modelling pre-shared session keys; each thread keeps the
+// keys it uses with their pads compressed).  With flush_window = 0
 // each message is its own bundle — the classic one-MAC-per-message cost.
 // With flush_window > 0 outbound frames per destination coalesce behind a
 // short flush timer, so one authenticator (and one shaping/queueing pass)
@@ -54,7 +56,6 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -119,22 +120,10 @@ class AsyncRuntime final : public Transport<Msg> {
     hosts_[id] = std::move(host);
   }
 
-  void unregister_host(NodeId id) override {
-    std::shared_ptr<Host> host;
-    {
-      std::lock_guard<std::mutex> lk(hosts_mu_);
-      const auto it = hosts_.find(id);
-      if (it == hosts_.end()) return;
-      host = it->second;
-      hosts_.erase(it);
-    }
-    // Clear the handler under the host lock so an in-flight drain observes
-    // the removal and stops dispatching (frames already queued are dropped).
-    std::lock_guard<std::mutex> lk(host->mu);
-    host->handler = nullptr;
-    host->inbox.clear();
-    host->jobs.clear();
-  }
+  /// Removes the host, drops its queued frames and jobs, and cancels every
+  /// timer it scheduled: a callback captured by the departed object never
+  /// runs, not even on a host later registered under the same id.
+  void unregister_host(NodeId id) override { remove_host(id); }
 
   /// unregister_host plus a quiesce wait: returns only once no drain task is
   /// dispatching into the host, so the caller may destroy the object behind
@@ -142,20 +131,8 @@ class AsyncRuntime final : public Transport<Msg> {
   /// plain unregister_host only guarantees that a drain observes the cleared
   /// handler *before its next dispatch*, not that an in-flight one finished.
   void detach_host(NodeId id) {
-    std::shared_ptr<Host> host;
-    {
-      std::lock_guard<std::mutex> lk(hosts_mu_);
-      const auto it = hosts_.find(id);
-      if (it == hosts_.end()) return;
-      host = it->second;
-      hosts_.erase(it);
-    }
-    {
-      std::lock_guard<std::mutex> lk(host->mu);
-      host->handler = nullptr;
-      host->inbox.clear();
-      host->jobs.clear();
-    }
+    const std::shared_ptr<Host> host = remove_host(id);
+    if (!host) return;
     // An in-flight drain copied the handler before we cleared it and may be
     // mid-dispatch; `draining` stays true until that burst parks on the
     // emptied queues.  Crash-path only, so a short sleep-poll is fine.
@@ -197,10 +174,10 @@ class AsyncRuntime final : public Transport<Msg> {
     std::lock_guard<std::mutex> lk(timer_mu_);
     if (stopping_) return 0;  // cancel(0) is a no-op
     const std::uint64_t id = next_timer_id_++;
-    live_timers_.insert(id);
     const bool new_front = timers_.empty() || when < timers_.begin()->first;
-    timers_.emplace(when, TimerEntry{id, owner, /*direct=*/false,
-                                     std::move(fn)});
+    live_timers_.emplace(
+        id, timers_.emplace(when, TimerEntry{id, owner, /*direct=*/false,
+                                             std::move(fn)}));
     // The timer thread sleeps until the earliest deadline; inserting a
     // later one does not change its wake-up time, so skip the notify (at
     // load, most timers are retransmission guards far in the future).
@@ -210,7 +187,10 @@ class AsyncRuntime final : public Transport<Msg> {
 
   void cancel(std::uint64_t timer_id) override {
     std::lock_guard<std::mutex> lk(timer_mu_);
-    if (live_timers_.count(timer_id) > 0) cancelled_.insert(timer_id);
+    const auto it = live_timers_.find(timer_id);
+    if (it == live_timers_.end()) return;
+    timers_.erase(it->second);
+    live_timers_.erase(it);
   }
 
   /// The wall-clock lane's nodes burn real CPU, so the sim lane's modelled
@@ -347,13 +327,10 @@ class AsyncRuntime final : public Transport<Msg> {
   void inject_frame(NodeId from, NodeId to, Bytes raw) {
     enqueue_frame(to, Frame{from, std::make_shared<const Bytes>(std::move(raw))});
   }
+  /// User timers scheduled but neither fired nor cancelled yet.
   std::size_t live_timer_count() const {
     std::lock_guard<std::mutex> lk(timer_mu_);
     return live_timers_.size();
-  }
-  std::size_t cancelled_pending() const {
-    std::lock_guard<std::mutex> lk(timer_mu_);
-    return cancelled_.size();
   }
 
  private:
@@ -399,6 +376,40 @@ class AsyncRuntime final : public Transport<Msg> {
     return it == hosts_.end() ? nullptr : it->second;
   }
 
+  /// The unregister path; returns the removed host (nullptr if unknown).
+  std::shared_ptr<Host> remove_host(NodeId id) {
+    std::shared_ptr<Host> host;
+    {
+      std::lock_guard<std::mutex> lk(hosts_mu_);
+      const auto it = hosts_.find(id);
+      if (it == hosts_.end()) return nullptr;
+      host = it->second;
+      hosts_.erase(it);
+    }
+    {
+      // Clear the handler under the host lock so an in-flight drain
+      // observes the removal and stops dispatching (frames already queued
+      // are dropped).
+      std::lock_guard<std::mutex> lk(host->mu);
+      host->handler = nullptr;
+      host->inbox.clear();
+      host->jobs.clear();
+    }
+    // The rest leave the queue here.  A timer the timer thread took off the
+    // queue just before this posts into a host that is gone and is dropped
+    // (unless the id is registered again within those microseconds).
+    std::lock_guard<std::mutex> lk(timer_mu_);
+    for (auto it = live_timers_.begin(); it != live_timers_.end();) {
+      if (it->second->second.owner == id) {
+        timers_.erase(it->second);
+        it = live_timers_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return host;
+  }
+
   const LinkConfig& link_for(NodeId from, NodeId to) const {
     return (from >= options_.client_floor || to >= options_.client_floor)
                ? options_.client_link
@@ -407,11 +418,26 @@ class AsyncRuntime final : public Transport<Msg> {
 
   // --- authenticator batching ----------------------------------------------
 
-  /// Pre-shared link key per directed pair, derived from the runtime seed
-  /// (a closed system: every legitimate sender/receiver pair shares it).
-  std::string pair_key(NodeId from, NodeId to) const {
-    return "link:" + std::to_string(options_.seed) + ":" +
-           std::to_string(from) + ">" + std::to_string(to);
+  /// Pre-shared link key per directed pair: the HMAC key
+  /// "link:<seed>:<from>><to>", derived from the runtime seed (a closed
+  /// system: every legitimate sender/receiver pair shares it).  The key is
+  /// a function of (seed, from, to) alone, so each thread keeps the ones it
+  /// has used, lock-free, and starts over once it holds kLinkKeyCacheCap.
+  const crypto::HmacKey& link_key(NodeId from, NodeId to) const {
+    thread_local std::unordered_map<LinkId, crypto::HmacKey, LinkIdHash>
+        keys;
+    const LinkId link{options_.seed, from, to};
+    auto it = keys.find(link);
+    if (it == keys.end()) {
+      if (keys.size() >= kLinkKeyCacheCap) keys.clear();
+      it = keys
+               .emplace(link, crypto::HmacKey(
+                                  "link:" + std::to_string(options_.seed) +
+                                  ":" + std::to_string(from) + ">" +
+                                  std::to_string(to)))
+               .first;
+    }
+    return it->second;
   }
 
   /// Bundle layout: varint frame count, then per frame a varint length and
@@ -419,7 +445,7 @@ class AsyncRuntime final : public Transport<Msg> {
   /// before it.
   std::shared_ptr<const Bytes> make_bundle(
       NodeId from, NodeId to,
-      const std::vector<std::shared_ptr<const Bytes>>& frames) {
+      std::span<const std::shared_ptr<const Bytes>> frames) {
     wire::Writer w;
     std::size_t payload = 0;
     for (const auto& f : frames) payload += f->size() + 10;
@@ -430,10 +456,8 @@ class AsyncRuntime final : public Transport<Msg> {
       w.bytes(f->data(), f->size());
     }
     Bytes out = w.take();
-    const crypto::Digest tag = crypto::hmac_sha256(
-        pair_key(from, to),
-        std::string_view(reinterpret_cast<const char*>(out.data()),
-                         out.size()));
+    const crypto::Digest tag = link_key(from, to).tag(std::string_view(
+        reinterpret_cast<const char*>(out.data()), out.size()));
     out.insert(out.end(), tag.begin(), tag.end());
     macs_computed_.fetch_add(1, std::memory_order_relaxed);
     bundled_frames_.fetch_add(frames.size(), std::memory_order_relaxed);
@@ -448,7 +472,7 @@ class AsyncRuntime final : public Transport<Msg> {
     if (stop_requested_.load(std::memory_order_acquire)) return;
     if (options_.flush_window <= 0.0) {
       // One bundle (and one authenticator) per message.
-      ship_bundle(from, to, make_bundle(from, to, {std::move(bytes)}));
+      ship_bundle(from, to, make_bundle(from, to, std::span(&bytes, 1)));
       return;
     }
     // Nagle-style coalescing: a message onto a quiet channel ships at once
@@ -490,7 +514,7 @@ class AsyncRuntime final : public Transport<Msg> {
     if (ship_now) {
       // Outside the shard lock: make_bundle runs real crypto and
       // ship_bundle takes the shaping locks.
-      ship_bundle(from, to, make_bundle(from, to, {std::move(bytes)}));
+      ship_bundle(from, to, make_bundle(from, to, std::span(&bytes, 1)));
       return;
     }
     if (!full.empty()) {
@@ -691,35 +715,38 @@ class AsyncRuntime final : public Transport<Msg> {
     crypto::Digest tag{};
     std::copy(b.begin() + static_cast<std::ptrdiff_t>(body), b.end(),
               tag.begin());
-    if (!crypto::hmac_verify(
-            pair_key(frame.from, self),
-            std::string_view(reinterpret_cast<const char*>(b.data()), body),
-            tag)) {
+    if (!link_key(frame.from, self)
+             .verify(std::string_view(reinterpret_cast<const char*>(b.data()),
+                                      body),
+                     tag)) {
       auth_failures_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    // Walks the header, handing each frame to `on_frame`; false if it is
+    // malformed.
+    const auto walk = [&](auto&& on_frame) {
+      wire::Reader r(b.data(), body);
+      const auto count = r.varint();
+      if (!count || *count > r.remaining()) return false;
+      for (std::uint64_t i = 0; i < *count; ++i) {
+        const auto len = r.varint();
+        const auto span = len ? r.bytes(*len) : std::nullopt;
+        if (!span) return false;
+        on_frame(*span);
+      }
+      return r.done();
+    };
     // The whole header parses before any frame is dispatched: a malformed
     // bundle delivers nothing.
-    wire::Reader r(b.data(), body);
-    const auto count = r.varint();
-    bool ok = count && *count <= r.remaining();
-    std::vector<std::span<const std::uint8_t>> spans;
-    if (ok) spans.reserve(static_cast<std::size_t>(*count));
-    for (std::uint64_t i = 0; ok && i < *count; ++i) {
-      const auto len = r.varint();
-      const auto span = len ? r.bytes(*len) : std::nullopt;
-      ok = span.has_value();
-      if (ok) spans.push_back(*span);
-    }
-    if (!ok || !r.done()) {
+    if (!walk([](std::span<const std::uint8_t>) {})) {
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    for (const auto& span : spans) {
+    walk([&](std::span<const std::uint8_t> span) {
       const auto msg = Codec::decode(span.data(), span.size());
       if (!msg) {
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        continue;
+        return;
       }
       delivered_.fetch_add(1, std::memory_order_relaxed);
       try {
@@ -729,7 +756,7 @@ class AsyncRuntime final : public Transport<Msg> {
         // the pool worker); surface through the counter.
         handler_errors_.fetch_add(1, std::memory_order_relaxed);
       }
-    }
+    });
   }
 
   void finish_task() {
@@ -738,6 +765,7 @@ class AsyncRuntime final : public Transport<Msg> {
   }
 
   void timer_loop() {
+    std::vector<TimerEntry> due;
     std::unique_lock<std::mutex> lk(timer_mu_);
     while (!stopping_) {
       if (timers_.empty()) {
@@ -752,16 +780,12 @@ class AsyncRuntime final : public Transport<Msg> {
       // Collect everything due, then dispatch outside the lock (posting
       // locks host mutexes; holding timer_mu_ across that invites
       // lock-order cycles with schedule()).
-      std::vector<TimerEntry> due;
       const auto now_tp = std::chrono::steady_clock::now();
       while (!timers_.empty() && timers_.begin()->first <= now_tp) {
-        TimerEntry e = std::move(timers_.begin()->second);
-        timers_.erase(timers_.begin());
-        if (e.id != 0) {
-          live_timers_.erase(e.id);
-          if (cancelled_.erase(e.id) > 0) continue;
-        }
+        TimerEntry& e = timers_.begin()->second;
+        if (e.id != 0) live_timers_.erase(e.id);
         due.push_back(std::move(e));
+        timers_.erase(timers_.begin());
       }
       lk.unlock();
       for (TimerEntry& e : due) {
@@ -771,6 +795,7 @@ class AsyncRuntime final : public Transport<Msg> {
           post(e.owner, std::move(e.fn));
         }
       }
+      due.clear();
       lk.lock();
     }
   }
@@ -781,6 +806,23 @@ class AsyncRuntime final : public Transport<Msg> {
   /// so a high-rate pair pays amortized MACs without the full window's
   /// latency tax.
   static constexpr std::size_t kFlushMaxFrames = 16;
+  /// Link keys one thread keeps; a service cluster of 7 replicas and 64
+  /// clients uses under a thousand directed pairs.
+  static constexpr std::size_t kLinkKeyCacheCap = 4096;
+
+  /// A directed pair of one runtime seed: what a link key depends on.
+  struct LinkId {
+    std::uint64_t seed = 0;
+    NodeId from = 0;
+    NodeId to = 0;
+    bool operator==(const LinkId&) const = default;
+  };
+  struct LinkIdHash {
+    std::size_t operator()(const LinkId& l) const {
+      return static_cast<std::size_t>(crypto::seeded_mix(
+          crypto::seeded_mix(l.seed, l.from), l.to));
+    }
+  };
 
   util::ThreadPool* pool_;
   Options options_;
@@ -832,9 +874,12 @@ class AsyncRuntime final : public Transport<Msg> {
   std::condition_variable timer_cv_;
   bool stopping_ = false;
   std::uint64_t next_timer_id_ = 1;
-  std::multimap<std::chrono::steady_clock::time_point, TimerEntry> timers_;
-  std::unordered_set<std::uint64_t> live_timers_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  using TimerQueue =
+      std::multimap<std::chrono::steady_clock::time_point, TimerEntry>;
+  TimerQueue timers_;
+  /// Each live user timer's queue entry, by id.
+  std::unordered_map<std::uint64_t, typename TimerQueue::iterator>
+      live_timers_;
 
   std::mutex tasks_mu_;
   std::condition_variable tasks_cv_;

@@ -66,9 +66,7 @@ std::uint64_t MinBftClient::submit(const std::string& operation,
 }
 
 void MinBftClient::transmit(const Request& request) {
-  for (ReplicaId r : replicas_) {
-    net_->send(id_, r, MinBftMsg{request});
-  }
+  net_->broadcast(id_, replicas_, MinBftMsg{request});
 }
 
 void MinBftClient::cancel(std::uint64_t request_id) {

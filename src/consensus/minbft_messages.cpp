@@ -1,6 +1,5 @@
 #include "tolerance/consensus/minbft_messages.hpp"
 
-#include <atomic>
 #include <sstream>
 
 namespace tolerance::consensus {
@@ -8,37 +7,34 @@ namespace {
 
 std::string hex(const crypto::Digest& d) { return crypto::to_hex(d); }
 
-std::atomic<std::uint64_t> g_memo_computed{0};
-std::atomic<std::uint64_t> g_memo_saved{0};
+/// Room for a decimal uint64 and its separator.
+constexpr std::size_t kNum = 21;
+constexpr std::size_t kHex = 64;
+
+thread_local DigestMemoStats t_memo_stats;
+
+/// The signed text of a request, with room for `extra` more characters.
+crypto::TextBuilder request_text(const Request& r, std::size_t extra) {
+  crypto::TextBuilder t(4 + 2 * kNum + r.operation.size() + extra);
+  t << "req|" << r.client << '|' << r.request_id << '|' << r.operation;
+  return t;
+}
 
 }  // namespace
 
-DigestMemoStats digest_memo_stats() {
-  return {g_memo_computed.load(std::memory_order_relaxed),
-          g_memo_saved.load(std::memory_order_relaxed)};
-}
+DigestMemoStats digest_memo_stats() { return t_memo_stats; }
 
-void reset_digest_memo_stats() {
-  g_memo_computed.store(0, std::memory_order_relaxed);
-  g_memo_saved.store(0, std::memory_order_relaxed);
-}
+void reset_digest_memo_stats() { t_memo_stats = {}; }
 
 namespace detail {
 
-void DigestMemo::note_computed() {
-  g_memo_computed.fetch_add(1, std::memory_order_relaxed);
-}
+void DigestMemo::note_computed() { ++t_memo_stats.computed; }
 
-void DigestMemo::note_saved() {
-  g_memo_saved.fetch_add(1, std::memory_order_relaxed);
-}
+void DigestMemo::note_saved() { ++t_memo_stats.saved; }
 
 }  // namespace detail
 
-std::string Request::payload() const {
-  return "req|" + std::to_string(client) + '|' + std::to_string(request_id) +
-         '|' + operation;
-}
+std::string Request::payload() const { return request_text(*this, 0).take(); }
 
 crypto::Digest Request::digest() const {
   // Binds the signature too, not just the signed payload: this digest keys
@@ -48,11 +44,10 @@ crypto::Digest Request::digest() const {
   // a cached verdict for the genuine request vouch for the corrupted copy,
   // and replicas with different cache contents would then disagree.
   return memo_.get([this] {
-    crypto::Sha256 h;
-    h.update(payload());
-    h.update("|sig|" + std::to_string(signature.signer) + '|' +
-             hex(signature.tag));
-    return h.finalize();
+    return crypto::Sha256::hash((request_text(*this, 5 + kNum + kHex)
+                                 << "|sig|" << signature.signer << '|'
+                                 << signature.tag)
+                                    .take());
   });
 }
 
@@ -70,33 +65,39 @@ crypto::Digest Prepare::batch_digest() const {
 
 crypto::Digest Prepare::body_digest() const {
   return body_memo_.get([this] {
-    return crypto::Sha256::hash("prepare|" + std::to_string(view) + '|' +
-                                std::to_string(seq) + '|' +
-                                std::to_string(requests.size()) + '|' +
-                                hex(batch_digest()));
+    return crypto::Sha256::hash(
+        (crypto::TextBuilder(8 + 3 * kNum + kHex)
+         << "prepare|" << view << '|' << seq << '|' << requests.size() << '|'
+         << batch_digest())
+            .take());
   });
 }
 
 crypto::Digest Commit::body_digest() const {
   return body_memo_.get([this] {
     return crypto::Sha256::hash(
-        "commit|" + std::to_string(view) + '|' + std::to_string(seq) + '|' +
-        std::to_string(replica) + '|' + hex(batch_digest) + '|' +
-        std::to_string(leader_ui.replica) + ':' +
-        std::to_string(leader_ui.counter));
+        (crypto::TextBuilder(7 + 5 * kNum + kHex)
+         << "commit|" << view << '|' << seq << '|' << replica << '|'
+         << batch_digest << '|' << leader_ui.replica << ':'
+         << leader_ui.counter)
+            .take());
   });
 }
 
 std::string Reply::payload() const {
-  return "reply|" + std::to_string(replica) + '|' + std::to_string(client) +
-         '|' + std::to_string(request_id) + '|' + result;
+  return (crypto::TextBuilder(6 + 3 * kNum + result.size())
+          << "reply|" << replica << '|' << client << '|' << request_id << '|'
+          << result)
+      .take();
 }
 
 crypto::Digest Checkpoint::body_digest() const {
   return body_memo_.get([this] {
-    return crypto::Sha256::hash("checkpoint|" + std::to_string(replica) +
-                                '|' + std::to_string(last_executed) + '|' +
-                                hex(state_digest));
+    return crypto::Sha256::hash(
+        (crypto::TextBuilder(11 + 2 * kNum + kHex)
+         << "checkpoint|" << replica << '|' << last_executed << '|'
+         << state_digest)
+            .take());
   });
 }
 

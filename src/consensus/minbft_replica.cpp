@@ -27,6 +27,13 @@ constexpr std::size_t kRejectedKeyCap = 16384;
 constexpr double kOverloadViewChangeStretch = 8.0;
 /// Entries kept by the per-replica USIG verification cache.
 constexpr std::size_t kUsigCacheCapacity = 4096;
+/// Seed of the verify caches' hash tables.  Clients choose request digests
+/// and Byzantine replicas choose USIG identifiers, so the seed is private
+/// per replica; the salt separates it from the keys the same seed derives.
+std::uint64_t cache_hash_seed(std::uint64_t key_seed, ReplicaId id) {
+  constexpr std::uint64_t kSalt = 0x68617368u;  // "hash"
+  return crypto::seeded_mix(key_seed ^ kSalt, id);
+}
 /// Grace period before fetching a PREPARE that a commit quorum refers to
 /// but never arrived here.  Commit-before-prepare is usually plain
 /// reordering (the prepare is buffered in a flush window or a slower
@@ -86,7 +93,9 @@ MinBftReplica::MinBftReplica(ReplicaId id, std::vector<ReplicaId> membership,
                                               key_seed ^ 0x5a5au),
             usig_epoch),
       admission_(config.admission), st_rng_(key_seed ^ 0x57a7eull),
-      usig_cache_(kUsigCacheCapacity) {
+      usig_cache_(kUsigCacheCapacity, cache_hash_seed(key_seed, id)),
+      verified_requests_(0,
+                         crypto::DigestHash{cache_hash_seed(key_seed, id)}) {
   TOL_ENSURE(!membership_.empty(), "membership must be non-empty");
   TOL_ENSURE(config_.batch_size >= 1, "batch_size must be >= 1");
   TOL_ENSURE(config_.pipeline_depth >= 1, "pipeline_depth must be >= 1");

@@ -1,11 +1,17 @@
 #include "tolerance/crypto/hmac.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace tolerance::crypto {
 
-Digest hmac_sha256(std::string_view key, std::string_view message) {
-  constexpr std::size_t kBlock = 64;
+namespace {
+
+constexpr std::size_t kBlock = 64;
+
+}  // namespace
+
+HmacKey::HmacKey(std::string_view key) {
   std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
     const Digest kd = Sha256::hash(key);
@@ -20,17 +26,32 @@ Digest hmac_sha256(std::string_view key, std::string_view message) {
   }
   Sha256 inner;
   inner.update(ipad.data(), ipad.size());
-  inner.update(message);
-  const Digest inner_digest = inner.finalize();
+  inner_ = inner.state_;
   Sha256 outer;
   outer.update(opad.data(), opad.size());
+  outer_ = outer.state_;
+}
+
+Digest HmacKey::tag(std::string_view message) const {
+  Sha256 inner(inner_, kBlock);
+  inner.update(message);
+  const Digest inner_digest = inner.finalize();
+  Sha256 outer(outer_, kBlock);
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finalize();
 }
 
+bool HmacKey::verify(std::string_view message, const Digest& tag) const {
+  return digest_equal(this->tag(message), tag);
+}
+
+Digest hmac_sha256(std::string_view key, std::string_view message) {
+  return HmacKey(key).tag(message);
+}
+
 bool hmac_verify(std::string_view key, std::string_view message,
                  const Digest& tag) {
-  return digest_equal(hmac_sha256(key, message), tag);
+  return HmacKey(key).verify(message, tag);
 }
 
 }  // namespace tolerance::crypto

@@ -13,25 +13,26 @@ std::string KeyRegistry::register_principal(PrincipalId id,
   material << "tolerance-key|" << id << '|' << seed;
   const Digest d = Sha256::hash(material.str());
   std::string secret(reinterpret_cast<const char*>(d.data()), d.size());
+  const HmacKey key(secret);
   // Same (id, seed) => same key: return without touching the map.  This is
   // what makes a crash-restart's re-registration safe in the wall-clock
   // lane, where other nodes' event loops read this entry concurrently —
   // an identical re-assignment would still be a data race.
-  const auto it = secrets_.find(id);
-  if (it != secrets_.end() && it->second == secret) return secret;
-  secrets_[id] = secret;
+  const auto it = keys_.find(id);
+  if (it != keys_.end() && it->second == key) return secret;
+  keys_.insert_or_assign(id, key);
   return secret;
 }
 
 bool KeyRegistry::known(PrincipalId id) const {
-  return secrets_.find(id) != secrets_.end();
+  return keys_.find(id) != keys_.end();
 }
 
 bool KeyRegistry::verify(std::string_view message,
                          const Signature& sig) const {
-  const auto it = secrets_.find(sig.signer);
-  if (it == secrets_.end()) return false;
-  return hmac_verify(it->second, message, sig.tag);
+  const auto it = keys_.find(sig.signer);
+  if (it == keys_.end()) return false;
+  return it->second.verify(message, sig.tag);
 }
 
 }  // namespace tolerance::crypto

@@ -210,10 +210,18 @@ void Sha256::update(std::string_view s) {
   update(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
-std::atomic<std::uint64_t> Sha256::invocation_count_{0};
+namespace {
+
+thread_local std::uint64_t t_invocations = 0;
+
+}  // namespace
+
+std::uint64_t Sha256::invocations() { return t_invocations; }
+
+void Sha256::reset_invocations() { t_invocations = 0; }
 
 Digest Sha256::finalize() {
-  invocation_count_.fetch_add(1, std::memory_order_relaxed);
+  ++t_invocations;
   const std::uint64_t bit_len = total_len_ * 8;
   // Padding: 0x80, zeros up to byte 56 of the last block (spilling into one
   // more block when fewer than 9 bytes are left), then the bit length.
@@ -256,14 +264,7 @@ Digest Sha256::hash(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::string to_hex(const Digest& d) {
-  static const char* hex = "0123456789abcdef";
-  std::string out;
-  out.reserve(64);
-  for (std::uint8_t b : d) {
-    out.push_back(hex[b >> 4]);
-    out.push_back(hex[b & 0xf]);
-  }
-  return out;
+  return (TextBuilder(2 * d.size()) << d).take();
 }
 
 bool digest_equal(const Digest& a, const Digest& b) {

@@ -8,8 +8,9 @@ std::string Usig::certificate_payload(PrincipalId replica,
                                       std::uint64_t epoch,
                                       std::uint64_t counter,
                                       const Digest& digest) {
-  return "usig|" + std::to_string(replica) + '|' + std::to_string(epoch) +
-         '|' + std::to_string(counter) + '|' + to_hex(digest);
+  return (TextBuilder(5 + 3 * 21 + 64) << "usig|" << replica << '|' << epoch
+                                      << '|' << counter << '|' << digest)
+      .take();
 }
 
 UniqueIdentifier Usig::create(const Digest& message_digest) {
@@ -20,9 +21,8 @@ UniqueIdentifier Usig::create(const Digest& message_digest) {
   ui.replica = replica_;
   ui.epoch = epoch_;
   ui.counter = counter_;
-  ui.certificate = hmac_sha256(
-      secret_,
-      certificate_payload(replica_, epoch_, counter_, message_digest));
+  ui.certificate =
+      key_.tag(certificate_payload(replica_, epoch_, counter_, message_digest));
   return ui;
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -170,13 +173,37 @@ TEST(Sha256, DigestEqualConstantTimeSemantics) {
   EXPECT_FALSE(digest_equal(a, c));
 }
 
-// RFC 4231 test vectors.
+// RFC 4231 test vectors, through the one-shot form and a keyed state.
 TEST(Hmac, Rfc4231Vectors) {
-  const std::string key1(20, '\x0b');
-  EXPECT_EQ(to_hex(hmac_sha256(key1, "Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-  EXPECT_EQ(to_hex(hmac_sha256("Jefe", "what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  struct Vector {
+    std::string key;
+    std::string message;
+    const char* tag;
+  };
+  const std::vector<Vector> vectors = {
+      {std::string(20, '\x0b'), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {"Jefe", "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::string(131, '\xaa'),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(to_hex(hmac_sha256(v.key, v.message)), v.tag) << v.message;
+    const HmacKey key(v.key);
+    EXPECT_EQ(to_hex(key.tag(v.message)), v.tag) << v.message;
+    EXPECT_TRUE(key.verify(v.message, key.tag(v.message))) << v.message;
+  }
+  // One keyed state reused across messages of every length from empty to
+  // past three blocks matches the one-shot form each time.
+  const HmacKey key("link:1:0>1");
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const std::string message(len, static_cast<char>('a' + len % 26));
+    ASSERT_EQ(to_hex(key.tag(message)),
+              to_hex(hmac_sha256("link:1:0>1", message)))
+        << "length " << len;
+  }
 }
 
 TEST(Hmac, LongKeyIsHashedFirst) {
@@ -221,6 +248,52 @@ TEST(KeyRegistry, ForgeryWithoutKeyFails) {
   forged.signer = 1;
   forged.tag = hmac_sha256("attacker-guess", "msg");
   EXPECT_FALSE(registry.verify("msg", forged));
+}
+
+TEST(KeyRegistry, SharedKeysAcrossThreads) {
+  // The wall-clock lane's shape: every event loop verifies through one
+  // shared registry while a restarting node re-registers its unchanged
+  // key.  That re-registration must write nothing (TSan checks it).
+  KeyRegistry registry;
+  constexpr int kSigners = 4;
+  std::vector<std::string> secrets;
+  for (int i = 0; i < kSigners; ++i) {
+    secrets.push_back(
+        registry.register_principal(static_cast<PrincipalId>(i), 40 + i));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kSigners; ++i) {
+    threads.emplace_back([&, i]() {
+      const Signer signer(static_cast<PrincipalId>(i), secrets[i]);
+      for (int n = 0; n < 500; ++n) {
+        const std::string message = "op-" + std::to_string(n);
+        const Signature sig = signer.sign(message);
+        const int peer = (i + n) % kSigners;
+        Signature forged = sig;
+        forged.signer = static_cast<PrincipalId>(peer);
+        if (!registry.verify(message, sig) ||
+            (peer != i && registry.verify(message, forged))) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread reregister([&]() {
+    while (!done.load()) {
+      for (int i = 0; i < kSigners; ++i) {
+        if (registry.register_principal(static_cast<PrincipalId>(i),
+                                        40 + i) != secrets[i]) {
+          failures.fetch_add(1);
+        }
+      }
+    }
+  });
+  for (auto& t : threads) t.join();
+  done.store(true);
+  reregister.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(KeyRegistry, KeyRotation) {
@@ -391,6 +464,15 @@ TEST(Sha256, InvocationCounterTracksDigestComputations) {
   const std::uint64_t before = Sha256::invocations();
   (void)Sha256::hash("abc");
   (void)Sha256::hash("def");
+  EXPECT_EQ(Sha256::invocations(), before + 2);
+  // The count is this thread's: hashing elsewhere leaves it alone.
+  std::uint64_t other = 0;
+  std::thread([&other]() {
+    const std::uint64_t start = Sha256::invocations();
+    for (int i = 0; i < 5; ++i) (void)Sha256::hash("ghi");
+    other = Sha256::invocations() - start;
+  }).join();
+  EXPECT_EQ(other, 5u);
   EXPECT_EQ(Sha256::invocations(), before + 2);
 }
 

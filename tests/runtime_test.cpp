@@ -165,6 +165,9 @@ TEST(WireCodec, RoundTripsEveryMessageKind) {
             std::variant_size_v<consensus::MinBftMsg>);  // coverage
   for (const auto& msg : msgs) {
     const auto bytes = net::MinBftCodec::encode(msg);
+    // encode sizes the message first and allocates once, exactly.
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << "variant index "
+                                              << msg.index();
     const auto decoded = net::MinBftCodec::decode(bytes);
     ASSERT_TRUE(decoded.has_value()) << "variant index " << msg.index();
     EXPECT_EQ(decoded->index(), msg.index());
@@ -439,12 +442,33 @@ TEST(AsyncRuntime, TimersFireOnOwnersLoopAndCancel) {
   rt.schedule(1, 0.01, [&]() { fired.fetch_add(1); });
   const auto cancelled = rt.schedule(1, 0.02, [&]() { fired.fetch_add(100); });
   rt.cancel(cancelled);
+  // A cancelled timer leaves the queue at once, not at its deadline.
+  EXPECT_EQ(rt.live_timer_count(), 1u);
   rt.cancel(999999);  // never issued: must be a no-op, not poison
   EXPECT_TRUE(eventually([&]() { return fired.load() == 1; }));
   std::this_thread::sleep_for(50ms);  // give the cancelled timer its slot
   rt.stop();
   EXPECT_EQ(fired.load(), 1);
-  EXPECT_EQ(rt.cancelled_pending(), 0u);
+  EXPECT_EQ(rt.live_timer_count(), 0u);
+}
+
+TEST(AsyncRuntime, UnregisterDropsTheOwnersTimers) {
+  // A restart re-registers the same id: a timer the departed object
+  // scheduled must not run on the new object's loop.
+  util::ThreadPool pool(2);
+  StringRuntime rt(pool, instant_options());
+  std::atomic<int> stale{0};
+  std::atomic<int> kept{0};
+  rt.register_host(1, [](net::NodeId, const std::string&) {});
+  rt.register_host(2, [](net::NodeId, const std::string&) {});
+  rt.schedule(1, 0.02, [&]() { stale.fetch_add(1); });
+  rt.schedule(2, 0.02, [&]() { kept.fetch_add(1); });
+  rt.detach_host(1);
+  rt.register_host(1, [](net::NodeId, const std::string&) {});
+  std::this_thread::sleep_for(60ms);
+  EXPECT_TRUE(eventually([&]() { return kept.load() == 1; }));
+  rt.stop();
+  EXPECT_EQ(stale.load(), 0);
   EXPECT_EQ(rt.live_timer_count(), 0u);
 }
 
