@@ -5,11 +5,9 @@
 #pragma once
 
 #include <array>
-#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace tolerance::crypto {
@@ -51,48 +49,6 @@ class Sha256 {
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
-};
-
-/// Builds a signed string or digest preimage in one reserved buffer:
-/// decimal numbers and digest hex are written in place, never through a
-/// temporary string.
-class TextBuilder {
- public:
-  explicit TextBuilder(std::size_t capacity) { out_.reserve(capacity); }
-
-  TextBuilder& operator<<(std::string_view s) {
-    out_.append(s);
-    return *this;
-  }
-  TextBuilder& operator<<(char c) {
-    out_.push_back(c);
-    return *this;
-  }
-  /// Decimal digits, as std::to_string writes them.
-  template <class T>
-    requires std::is_unsigned_v<T>
-  TextBuilder& operator<<(T v) {
-    char digits[20];
-    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
-    out_.append(digits, end);
-    return *this;
-  }
-  /// Lowercase hex.
-  TextBuilder& operator<<(const Digest& d) {
-    static constexpr char kHex[] = "0123456789abcdef";
-    const std::size_t at = out_.size();
-    out_.resize(at + 2 * d.size());
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      out_[at + 2 * i] = kHex[d[i] >> 4];
-      out_[at + 2 * i + 1] = kHex[d[i] & 0xf];
-    }
-    return *this;
-  }
-
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
 };
 
 /// Lowercase hex encoding of a digest.

@@ -52,6 +52,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <thread>
@@ -422,22 +423,18 @@ class AsyncRuntime final : public Transport<Msg> {
   /// "link:<seed>:<from>><to>", derived from the runtime seed (a closed
   /// system: every legitimate sender/receiver pair shares it).  The key is
   /// a function of (seed, from, to) alone, so each thread keeps the ones it
-  /// has used, lock-free, and starts over once it holds kLinkKeyCacheCap.
+  /// has used in a direct-mapped table, read without a lock; a miss derives
+  /// the key and overwrites its slot.
   const crypto::HmacKey& link_key(NodeId from, NodeId to) const {
-    thread_local std::unordered_map<LinkId, crypto::HmacKey, LinkIdHash>
-        keys;
+    thread_local std::vector<LinkSlot> slots(kLinkKeySlots);
     const LinkId link{options_.seed, from, to};
-    auto it = keys.find(link);
-    if (it == keys.end()) {
-      if (keys.size() >= kLinkKeyCacheCap) keys.clear();
-      it = keys
-               .emplace(link, crypto::HmacKey(
-                                  "link:" + std::to_string(options_.seed) +
-                                  ":" + std::to_string(from) + ">" +
-                                  std::to_string(to)))
-               .first;
+    LinkSlot& slot = slots[LinkIdHash{}(link) & (kLinkKeySlots - 1)];
+    if (!slot.key || slot.link != link) {
+      slot.link = link;
+      slot.key.emplace("link:" + std::to_string(options_.seed) + ":" +
+                       std::to_string(from) + ">" + std::to_string(to));
     }
-    return it->second;
+    return *slot.key;
   }
 
   /// Bundle layout: varint frame count, then per frame a varint length and
@@ -806,9 +803,17 @@ class AsyncRuntime final : public Transport<Msg> {
   /// so a high-rate pair pays amortized MACs without the full window's
   /// latency tax.
   static constexpr std::size_t kFlushMaxFrames = 16;
-  /// Link keys one thread keeps; a service cluster of 7 replicas and 64
-  /// clients uses under a thousand directed pairs.
-  static constexpr std::size_t kLinkKeyCacheCap = 4096;
+  /// Slots of each thread's link-key table: a power of two, 88 bytes a
+  /// slot, so 352 KiB for each thread that frames or verifies a bundle.  A
+  /// miss costs what an uncached key costs (one key string, two pad
+  /// compressions), never more.  Measured: perfbench's service cluster
+  /// (7 replicas, 4 clients) uses 98 directed pairs, and at most 0.5 % of
+  /// its lookups missed on six seeds (the slot of a colliding pair);
+  /// bench_fig10 --runtime with 100 clients uses 606 pairs at N = 3 and
+  /// 7,130 at N = 31; its LAN cells missed 8-15 % of lookups up to N = 7
+  /// and 38-41 % at N = 31 (WAN cells 22-39 %), and with its default 2,000
+  /// clients (12,006 to 124,930 pairs) 62-76 % miss.
+  static constexpr std::size_t kLinkKeySlots = 4096;
 
   /// A directed pair of one runtime seed: what a link key depends on.
   struct LinkId {
@@ -822,6 +827,10 @@ class AsyncRuntime final : public Transport<Msg> {
       return static_cast<std::size_t>(crypto::seeded_mix(
           crypto::seeded_mix(l.seed, l.from), l.to));
     }
+  };
+  struct LinkSlot {
+    LinkId link;
+    std::optional<crypto::HmacKey> key;  ///< empty until first use
   };
 
   util::ThreadPool* pool_;

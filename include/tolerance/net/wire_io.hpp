@@ -14,6 +14,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "tolerance/crypto/sha256.hpp"
@@ -22,31 +23,56 @@ namespace tolerance::net::wire {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// Append-only byte-buffer writer (unsigned LEB128 varints).
-class Writer {
+/// The encoding rules, written once over a byte sink: `Sink` supplies the
+/// raw appends u8() and bytes(), and everything above a raw byte (varints,
+/// length-prefixed strings, digests) is defined here, so a message sized by
+/// SizeCounter is exactly as long as Writer writes it.
+template <class Sink>
+class Encoder {
  public:
-  void reserve(std::size_t n) { out_.reserve(n); }
-  void u8(std::uint8_t v) { out_.push_back(v); }
   void varint(std::uint64_t v) {
     while (v >= 0x80) {
-      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      sink().u8(static_cast<std::uint8_t>(v) | 0x80);
       v >>= 7;
     }
-    out_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void bytes(const std::uint8_t* data, std::size_t len) {
-    out_.insert(out_.end(), data, data + len);
+    sink().u8(static_cast<std::uint8_t>(v));
   }
   void str(std::string_view s) {
     varint(s.size());
-    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+    sink().bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
-  void digest(const crypto::Digest& d) { bytes(d.data(), d.size()); }
+  void digest(const crypto::Digest& d) { sink().bytes(d.data(), d.size()); }
+
+ private:
+  Sink& sink() { return static_cast<Sink&>(*this); }
+};
+
+/// Append-only byte-buffer writer (unsigned LEB128 varints).
+class Writer : public Encoder<Writer> {
+ public:
+  void reserve(std::size_t n) { out_.reserve(n); }
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void bytes(const std::uint8_t* data, std::size_t len) {
+    out_.insert(out_.end(), data, data + len);
+  }
 
   Bytes take() { return std::move(out_); }
 
  private:
   Bytes out_;
+};
+
+/// Counts the bytes a Writer would append, storing none: an encoder runs
+/// its field walk through one first to allocate the output once.
+class SizeCounter : public Encoder<SizeCounter> {
+ public:
+  void u8(std::uint8_t) { ++size_; }
+  void bytes(const std::uint8_t*, std::size_t len) { size_ += len; }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked reader over a byte span.  Every accessor returns nullopt

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "tolerance/crypto/text_builder.hpp"
+
 namespace tolerance::consensus {
 namespace {
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "sha256_compress.hpp"
+#include "tolerance/crypto/text_builder.hpp"
 
 #if defined(__x86_64__)
 #include <cpuid.h>

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "tolerance/crypto/text_builder.hpp"
+
 namespace tolerance::crypto {
 
 std::string Usig::certificate_payload(PrincipalId replica,

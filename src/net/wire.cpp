@@ -63,32 +63,11 @@ inline constexpr bool kIsVector = false;
 template <class E>
 inline constexpr bool kIsVector<std::vector<E>> = true;
 
-/// Counts the bytes a wire::Writer would append: encode runs the field
-/// walk through it first, to allocate the message once.
-class ByteCounter {
- public:
-  std::size_t size() const { return size_; }
-  void u8(std::uint8_t) { ++size_; }
-  void varint(std::uint64_t v) {
-    do {
-      ++size_;
-      v >>= 7;
-    } while (v != 0);
-  }
-  void str(std::string_view s) {
-    varint(s.size());
-    size_ += s.size();
-  }
-  void digest(const crypto::Digest& d) { size_ += d.size(); }
-
- private:
-  std::size_t size_ = 0;
-};
-
 // Field kinds: a one-byte integer is a raw byte, any wider unsigned integer
 // a varint, strings and vectors carry a varint length, digests are raw,
 // and anything else is a record with its own field list.
-/// Writes to `Out`: a wire::Writer, or a ByteCounter to size a message.
+/// Writes to `Out`: a wire::Writer, or a wire::SizeCounter to size a
+/// message.
 template <class Out>
 class FieldWriter {
  public:
@@ -183,8 +162,8 @@ bool emplace_alternative(MinBftMsg& msg, std::uint8_t tag) {
 }  // namespace
 
 wire::Bytes MinBftCodec::encode(const MinBftMsg& msg) {
-  ByteCounter size;
-  FieldWriter<ByteCounter> count(size);
+  wire::SizeCounter size;
+  FieldWriter<wire::SizeCounter> count(size);
   std::visit([&](const auto& m) { fields(count, m); }, msg);
   wire::Writer w;
   w.reserve(1 + size.size());

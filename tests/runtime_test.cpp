@@ -439,12 +439,12 @@ TEST(AsyncRuntime, TimersFireOnOwnersLoopAndCancel) {
   StringRuntime rt(pool, instant_options());
   std::atomic<int> fired{0};
   rt.register_host(1, [](net::NodeId, const std::string&) {});
-  rt.schedule(1, 0.01, [&]() { fired.fetch_add(1); });
   const auto cancelled = rt.schedule(1, 0.02, [&]() { fired.fetch_add(100); });
   rt.cancel(cancelled);
   // A cancelled timer leaves the queue at once, not at its deadline.
-  EXPECT_EQ(rt.live_timer_count(), 1u);
+  EXPECT_EQ(rt.live_timer_count(), 0u);
   rt.cancel(999999);  // never issued: must be a no-op, not poison
+  rt.schedule(1, 0.01, [&]() { fired.fetch_add(1); });
   EXPECT_TRUE(eventually([&]() { return fired.load() == 1; }));
   std::this_thread::sleep_for(50ms);  // give the cancelled timer its slot
   rt.stop();
@@ -454,19 +454,23 @@ TEST(AsyncRuntime, TimersFireOnOwnersLoopAndCancel) {
 
 TEST(AsyncRuntime, UnregisterDropsTheOwnersTimers) {
   // A restart re-registers the same id: a timer the departed object
-  // scheduled must not run on the new object's loop.
+  // scheduled must not run on the new object's loop.  The deadlines are
+  // far enough out that neither timer is due before the detach.
   util::ThreadPool pool(2);
   StringRuntime rt(pool, instant_options());
   std::atomic<int> stale{0};
   std::atomic<int> kept{0};
   rt.register_host(1, [](net::NodeId, const std::string&) {});
   rt.register_host(2, [](net::NodeId, const std::string&) {});
-  rt.schedule(1, 0.02, [&]() { stale.fetch_add(1); });
-  rt.schedule(2, 0.02, [&]() { kept.fetch_add(1); });
+  rt.schedule(1, 0.2, [&]() { stale.fetch_add(1); });
+  rt.schedule(2, 0.25, [&]() { kept.fetch_add(1); });
   rt.detach_host(1);
+  EXPECT_EQ(rt.live_timer_count(), 1u);
   rt.register_host(1, [](net::NodeId, const std::string&) {});
-  std::this_thread::sleep_for(60ms);
+  // Host 2's timer is due after host 1's, so once it has run the stale
+  // one would have been posted too; the sleep lets such a post run.
   EXPECT_TRUE(eventually([&]() { return kept.load() == 1; }));
+  std::this_thread::sleep_for(20ms);
   rt.stop();
   EXPECT_EQ(stale.load(), 0);
   EXPECT_EQ(rt.live_timer_count(), 0u);
